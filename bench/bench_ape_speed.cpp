@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -282,6 +283,13 @@ struct HealthBench {
                           ///< DC solve, in basis points of the health-off time
   double off_us = 0.0;    ///< per-solve latency, health layer disabled
   double on_us = 0.0;     ///< per-solve latency, ambient Auto mode
+  // The same A/B on the headline open-loop AC sweep (reported, not gated).
+  long ac_overhead_bp = 0;  ///< Auto-mode cost, basis points of health-off
+  double ac_off_us = 0.0;   ///< per-sweep latency, health layer disabled
+  double ac_on_us = 0.0;    ///< per-sweep latency, ambient Auto mode
+  long ac_points = 0;       ///< points per sweep
+  long ac_refined = 0;      ///< points refined in one Auto sweep
+  long ac_equilibrated = 0; ///< points equilibrated in one Auto sweep
 };
 
 /// Numerical-health A/B (DESIGN.md section 15). The acceptance claim:
@@ -289,7 +297,11 @@ struct HealthBench {
 /// under 2% (200 bp) of DC-solve wall time versus a run with the layer
 /// forced off — because on a well-conditioned system Auto tracks only
 /// the in-loop pivot min/max (free) and never estimates or refines.
-/// check_bench gates the recorded health_overhead_bp absolutely.
+/// check_bench gates the recorded health_overhead_bp absolutely. The
+/// same A/B on the open-loop AC sweep simulate_opamp runs (1 Hz - 1 GHz,
+/// 20 points per decade) is reported alongside, ungated: there Auto
+/// equilibrates every point, and the refined count shows whether any
+/// point still trips the monitor.
 HealthBench run_health_comparison() {
   HealthBench hb;
   const OpAmpEstimator oe(proc());
@@ -299,18 +311,15 @@ HealthBench run_health_comparison() {
   // Per-arm timing mirrors time_estimate_path_us: best-of-reps minimum
   // over a fixed inner loop discards scheduler noise, which would
   // otherwise dwarf a 200 bp gate on a microsecond-scale solve.
-  const auto time_arm = [&](bool health_on) {
+  const auto time_arm = [](bool health_on, int iters,
+                           const std::function<void()>& op) {
     std::optional<ScopedNumericHealthMode> off;
     if (!health_on) off.emplace(NumericHealthMode::Off);
-    (void)spice::dc_operating_point(ckt, spice::DcOptions{});  // warm
-    const int iters = 100;
+    op();  // warm
     double best = 1e300;
     for (int rep = 0; rep < 7; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < iters; ++i) {
-        benchmark::DoNotOptimize(
-            spice::dc_operating_point(ckt, spice::DcOptions{}));
-      }
+      for (int i = 0; i < iters; ++i) op();
       const auto t1 = std::chrono::steady_clock::now();
       const double us =
           std::chrono::duration<double, std::micro>(t1 - t0).count() / iters;
@@ -318,16 +327,40 @@ HealthBench run_health_comparison() {
     }
     return best;
   };
-  hb.off_us = time_arm(false);
-  hb.on_us = time_arm(true);
-  const double overhead =
-      hb.off_us > 0.0 ? (hb.on_us - hb.off_us) / hb.off_us : 0.0;
-  hb.overhead_bp = overhead > 0.0 ? long(overhead * 1e4 + 0.5) : 0;
+  const auto overhead_bp = [](double off, double on) {
+    const double overhead = off > 0.0 ? (on - off) / off : 0.0;
+    return overhead > 0.0 ? long(overhead * 1e4 + 0.5) : 0L;
+  };
+  const auto dc_solve = [&] {
+    benchmark::DoNotOptimize(spice::dc_operating_point(ckt, spice::DcOptions{}));
+  };
+  hb.off_us = time_arm(false, 100, dc_solve);
+  hb.on_us = time_arm(true, 100, dc_solve);
+  hb.overhead_bp = overhead_bp(hb.off_us, hb.on_us);
+
+  // The sweep runs at the operating point the DC arms left cached.
+  const auto ac_sweep = [&] {
+    benchmark::DoNotOptimize(spice::ac_analysis(ckt, 1.0, 1e9, 20));
+  };
+  hb.ac_off_us = time_arm(false, 20, ac_sweep);
+  hb.ac_on_us = time_arm(true, 20, ac_sweep);
+  hb.ac_overhead_bp = overhead_bp(hb.ac_off_us, hb.ac_on_us);
+  KernelStats ac_ks;
+  hb.ac_points = static_cast<long>(
+      spice::ac_analysis(ckt, 1.0, 1e9, 20, &ac_ks).freq_hz.size());
+  hb.ac_refined = ac_ks.refinement_solves;
+  hb.ac_equilibrated = ac_ks.equilibrated_solves;
+
   std::printf("\n-- numerical-health layer (DESIGN.md 15) --\n");
   std::printf(
       "headline opamp DC solve: %.1f us health-off, %.1f us health-on "
       "(%ld bp)\n",
       hb.off_us, hb.on_us, hb.overhead_bp);
+  std::printf(
+      "headline opamp AC sweep: %.1f us health-off, %.1f us health-on "
+      "(%ld bp); %ld points, %ld equilibrated, %ld refined\n",
+      hb.ac_off_us, hb.ac_on_us, hb.ac_overhead_bp, hb.ac_points,
+      hb.ac_equilibrated, hb.ac_refined);
   return hb;
 }
 
@@ -443,6 +476,10 @@ int run_batch_comparison() {
       "  \"prove_mixed_seconds\": [%.6f, %.6f],\n"
       "  \"health_overhead_bp\": %ld,\n"
       "  \"health_solve_us\": [%.2f, %.2f],\n"
+      "  \"ac_health_overhead_bp\": %ld,\n"
+      "  \"ac_health_sweep_us\": [%.2f, %.2f],\n"
+      "  \"ac_health_points\": %ld,\n"
+      "  \"ac_health_refined\": %ld,\n"
       "  \"scaling\": %s,\n"
       "  \"kernel\": {\n"
       "    \"baseline_builds\": %ld,\n"
@@ -480,7 +517,8 @@ int run_batch_comparison() {
       pb.overhead_bp, pb.pruning_speedup,
       pb.feasible_without_s, pb.feasible_with_s,
       pb.mixed_without_s, pb.mixed_with_s,
-      hb.overhead_bp, hb.off_us, hb.on_us, scaling.c_str(),
+      hb.overhead_bp, hb.off_us, hb.on_us, hb.ac_overhead_bp, hb.ac_off_us,
+      hb.ac_on_us, hb.ac_points, hb.ac_refined, scaling.c_str(),
       ks.baseline_builds,
       ks.baseline_restores, ks.linear_stamps_skipped, ks.nonlinear_stamps,
       ks.factorizations, ks.solves, ks.ac_points_fused, ks.ac_points_virtual,

@@ -3,8 +3,10 @@
 ///  - in-place LU workspaces (factorize/solve_into) vs the old
 ///    allocate-a-solver-per-iteration path, over system sizes 4..256;
 ///  - sparse LU with reusable symbolic factorization (src/util/sparse.h)
-///    vs dense LU on circuit-shaped (ladder/banded) systems — the
-///    crossover table behind KernelPolicy's Auto heuristic;
+///    vs dense LU on circuit-shaped (ladder/banded) systems, plus two rows
+///    measured on the headline opamp's real testbench (one complex AC
+///    point, one real DC Newton solve) — the crossover table behind the
+///    kRealCrossover / kAcCrossover constants (src/spice/kernel.h);
 ///  - serial (re-factorize per RHS) vs batch (one factorization, many
 ///    RHS) solve scheduling, the shape the AC/noise sweeps and the AWE
 ///    moment recursion use;
@@ -31,9 +33,12 @@
 #include <vector>
 
 #include "bench/bench_meta.h"
+#include "src/estimator/opamp.h"
+#include "src/estimator/process.h"
 #include "src/spice/analysis.h"
 #include "src/spice/devices.h"
 #include "src/spice/kernel.h"
+#include "src/spice/parser.h"
 #include "src/util/matrix.h"
 #include "src/util/sparse.h"
 
@@ -122,7 +127,7 @@ SparsePattern pattern_of(const RealMatrix& a, std::vector<double>* vals) {
 
 /// RC ladder with an AC stimulus: pure linear circuit whose AC sweep is
 /// the fused-assembly showcase; at 120+ stages it is also the shape the
-/// sparse kernel path exists for (dim > sparse_min_dim, density ~0.02).
+/// sparse kernel path exists for (dim 122, density ~0.02).
 Circuit make_rc_ladder(int stages) {
   Circuit ckt("ladder");
   Waveform w;
@@ -376,6 +381,104 @@ CrossoverRow time_crossover(size_t n, bool quick) {
   return row;
 }
 
+/// One crossover row measured on the headline opamp's open-loop
+/// testbench (the system est::simulate_opamp verifies) instead of a
+/// synthetic ladder: the same system timed on both factorization paths,
+/// plus what the Auto policy picks for it and whether a full Auto run
+/// ever fell back from sparse to dense.
+struct OpampRow {
+  const char* system = "";
+  size_t dim = 0;
+  size_t nnz = 0;
+  double density = 0.0;
+  double dense_ns = 0.0;
+  double sparse_ns = 0.0;
+  bool routes_sparse = false;
+  long sparse_fallbacks = 0;
+};
+
+Circuit make_headline_opamp_tb() {
+  const est::Process proc = est::Process::default_1u2();
+  est::OpAmpSpec spec;
+  spec.gain = 200;
+  spec.ugf_hz = 5e6;
+  spec.ibias = 10e-6;
+  spec.cload = 10e-12;
+  spec.buffer = true;
+  spec.zout = 10e3;
+  const est::OpAmpDesign d = est::OpAmpEstimator(proc).estimate(spec);
+  return parse_netlist(d.testbench(proc, est::OpAmpTb::OpenLoop).netlist);
+}
+
+/// Complex AC point: fused assembly + factorize + solve, cycling through
+/// the 181 frequencies of simulate_opamp's open-loop sweep (1 Hz - 1 GHz,
+/// 20 per decade) under the ambient (Auto) health mode, as a sweep runs.
+OpampRow time_opamp_ac_point(bool quick) {
+  Circuit ckt = make_headline_opamp_tb();
+  (void)dc_operating_point(ckt);
+  std::vector<double> omegas;
+  for (int k = 0; k <= 180; ++k) omegas.push_back(2.0 * M_PI * std::pow(10.0, k / 20.0));
+  OpampRow row;
+  row.system = "ac_point";
+  const int iters = quick ? 2000 : 20000;
+  auto time_path = [&](KernelPath path) {
+    const KernelPolicy policy{path};
+    ScopedKernelPolicy guard(policy);
+    AcKernel kern(ckt);
+    std::vector<std::complex<double>> x(kern.dim());
+    size_t k = 0;
+    const double ns = time_ns_per_op(iters, [&] {
+      kern.assemble(omegas[k]);
+      kern.solve_into(x);
+      benchmark::DoNotOptimize(x.data());
+      k = k + 1 == omegas.size() ? 0 : k + 1;
+    });
+    if (path == KernelPath::ForceSparse) row.nnz = kern.stats().sparse_nnz;
+    return ns;
+  };
+  row.dense_ns = time_path(KernelPath::ForceDense);
+  row.sparse_ns = time_path(KernelPath::ForceSparse);
+  row.dim = ckt.dim();
+  row.density = double(row.nnz) / (double(row.dim) * double(row.dim));
+  KernelStats ks;
+  (void)ac_analysis(ckt, 1.0, 1e9, 20, &ks);
+  row.routes_sparse = ks.symbolic_analyses > 0;
+  row.sparse_fallbacks = ks.sparse_fallbacks;
+  return row;
+}
+
+/// Real DC Newton solve: baseline restore + nonlinear restamp +
+/// factorize + solve at the converged operating point.
+OpampRow time_opamp_dc_newton(bool quick) {
+  Circuit ckt = make_headline_opamp_tb();
+  ConvergenceReport rep;
+  DcOptions opts;
+  opts.report = &rep;
+  const Solution op = dc_operating_point(ckt, opts);
+  OpampRow row;
+  row.system = "dc_newton";
+  const int iters = quick ? 2000 : 20000;
+  auto time_path = [&](KernelPath path) {
+    const KernelPolicy policy{path};
+    ScopedKernelPolicy guard(policy);
+    SolveWorkspace ws(ckt);
+    ws.build_dc_baseline(1e-12, 1.0);
+    const double ns = time_ns_per_op(iters, [&] {
+      ws.assemble_dc(op, 1.0);
+      benchmark::DoNotOptimize(ws.solve().data());
+    });
+    if (path == KernelPath::ForceSparse) row.nnz = ws.stats().sparse_nnz;
+    return ns;
+  };
+  row.dense_ns = time_path(KernelPath::ForceDense);
+  row.sparse_ns = time_path(KernelPath::ForceSparse);
+  row.dim = ckt.dim();
+  row.density = double(row.nnz) / (double(row.dim) * double(row.dim));
+  row.routes_sparse = rep.kernel.symbolic_analyses > 0;
+  row.sparse_fallbacks = rep.kernel.sparse_fallbacks;
+  return row;
+}
+
 int write_json(bool quick) {
   std::FILE* f = std::fopen("BENCH_spice_kernel.json", "w");
   if (f == nullptr) {
@@ -462,6 +565,33 @@ int write_json(bool quick) {
   std::printf("crossover: sparse wins from n=%zu; n=64 speedup %.2fx\n",
               crossover_n, sparse_n64 > 0.0 ? dense_n64 / sparse_n64 : 0.0);
 
+  // The same comparison on the real opamp testbench: the evidence for the
+  // per-kernel Auto crossovers (complex AC systems go sparse at this
+  // size, real DC / transient systems stay dense).
+  std::printf("\n-- headline opamp open-loop testbench --\n");
+  std::printf("%10s %5s %6s %8s %10s %10s %7s %9s\n", "system", "dim", "nnz",
+              "density", "dense_ns", "sparse_ns", "routes", "fallbacks");
+  std::fprintf(f, "  \"opamp_rows\": [\n");
+  const OpampRow opamp_rows[] = {time_opamp_ac_point(quick),
+                                 time_opamp_dc_newton(quick)};
+  first = true;
+  for (const OpampRow& r : opamp_rows) {
+    std::printf("%10s %5zu %6zu %8.3f %10.1f %10.1f %7s %9ld\n", r.system,
+                r.dim, r.nnz, r.density, r.dense_ns, r.sparse_ns,
+                r.routes_sparse ? "sparse" : "dense", r.sparse_fallbacks);
+    std::fprintf(f,
+                 "%s    {\"system\": \"%s\", \"dim\": %zu, \"nnz\": %zu,"
+                 " \"density\": %.4f, \"dense_ns\": %.1f, \"sparse_ns\": %.1f,"
+                 " \"sparse_wins\": %s, \"routes_sparse\": %s,"
+                 " \"sparse_fallbacks\": %ld}",
+                 first ? "" : ",\n", r.system, r.dim, r.nnz, r.density,
+                 r.dense_ns, r.sparse_ns,
+                 r.sparse_ns < r.dense_ns ? "true" : "false",
+                 r.routes_sparse ? "true" : "false", r.sparse_fallbacks);
+    first = false;
+  }
+  std::fprintf(f, "\n  ],\n");
+
   // Top-level scalars for the check_bench regression gate (both paths).
   std::fprintf(f, "  \"dense_n64_ns\": %.1f,\n", dense_n64);
   std::fprintf(f, "  \"sparse_n64_ns\": %.1f,\n", sparse_n64);
@@ -471,7 +601,7 @@ int write_json(bool quick) {
   std::fprintf(f, "  \"crossover_n\": %zu,\n", crossover_n);
 
   // AC assembly comparison + the allocation audit on a real sweep (small
-  // ladder: dense fused path).
+  // ladder, dim 12: the sparse path under the AC crossover).
   Circuit ckt = make_rc_ladder(10);
   (void)dc_operating_point(ckt);
   KernelStats ks;

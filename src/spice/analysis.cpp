@@ -273,7 +273,10 @@ AcResult ac_analysis(Circuit& ckt, double f_start, double f_stop,
   }
   AcResult out;
   const double decades = std::log10(f_stop / f_start);
-  const int n = std::max(2, static_cast<int>(std::ceil(decades * points_per_decade)) + 1);
+  // f_stop == f_start is a single-point "sweep" (a spot measurement).
+  const int n = f_stop == f_start
+                    ? 1
+                    : std::max(2, static_cast<int>(std::ceil(decades * points_per_decade)) + 1);
   const size_t dim = ckt.dim();
   // Compile G / C / stimulus once; the sweep itself is a fused G + jwC
   // fill plus an in-place factorization per point — no stamping, no
@@ -282,7 +285,7 @@ AcResult ac_analysis(Circuit& ckt, double f_start, double f_stop,
   AcKernel kern(ckt);
   out.freq_hz.resize(static_cast<size_t>(n));
   out.solutions.assign(static_cast<size_t>(n), std::vector<std::complex<double>>(dim));
-  const double ratio = std::pow(10.0, decades / (n - 1));
+  const double ratio = n > 1 ? std::pow(10.0, decades / (n - 1)) : 1.0;
   double f = f_start;
   for (int k = 0; k < n; ++k) {
     // AC has no per-call budget knob; the poll here exists so a

@@ -91,7 +91,9 @@ struct AcResult {
 };
 
 /// Logarithmic AC sweep. Requires a previous dc_operating_point() so the
-/// devices have cached small-signal parameters. When \p kstats is set it
+/// devices have cached small-signal parameters. \p f_stop == \p f_start
+/// solves that one frequency (a spot measurement; bit-identical to the
+/// first point of any sweep starting there). When \p kstats is set it
 /// receives the compiled AC kernel's counters for the sweep (fused vs
 /// virtual points, factorizations, workspace footprint). Polls the
 /// thread's ambient job budget per point (there is no per-call budget

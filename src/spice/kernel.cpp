@@ -126,7 +126,7 @@ void SolveWorkspace::freeze_pattern() {
   base_.set_recorder(nullptr);
   mna_.set_recorder(nullptr);
   pattern_.finalize();
-  use_sparse_ = kernel_policy().wants_sparse(dim_, pattern_.density());
+  use_sparse_ = kernel_policy().wants_sparse(dim_, pattern_.density(), kRealCrossover);
   if (use_sparse_) {
     flat_idx_.resize(pattern_.nnz());
     svals_.resize(pattern_.nnz());
@@ -251,7 +251,7 @@ bool SolveWorkspace::try_equilibrate_sparse() {
   if (fi != nullptr && fi->on_equilibrate()) return false;
   if (!compute_equilibration_csr(pattern_.row_ptr().data(),
                                  pattern_.cols().data(), svals_.data(), dim_,
-                                 row_scale_, col_scale_)) {
+                                 row_scale_, col_scale_, col_sums_)) {
     return false;
   }
   scale_csr(pattern_.row_ptr().data(), pattern_.cols().data(), svals_.data(),
@@ -518,7 +518,8 @@ AcKernel::AcKernel(Circuit& ckt) : ckt_(&ckt), dim_((ckt.finalize(), ckt.dim()))
   // virtual-restamp fallback rebuilds the dense matrix anyway). Gather
   // the per-slot SoA G / C arrays so each frequency point assembles with
   // one contiguous O(nnz) loop.
-  use_sparse_ = exact_split_ && kernel_policy().wants_sparse(dim_, pattern_.density());
+  use_sparse_ = exact_split_ &&
+                kernel_policy().wants_sparse(dim_, pattern_.density(), kAcCrossover);
   if (use_sparse_) {
     const size_t nnz = pattern_.nnz();
     gs_.resize(nnz);
@@ -586,24 +587,22 @@ void AcKernel::factorize() {
   equilibrated_now_ = false;
   refine_active_ = false;
   const NumericHealthMode mode = ambient_health_mode();
+  // Whenever the health layer is on, every point is factorized on its
+  // power-of-two equilibrated values (LAPACK xGESVX practice), so the
+  // pivot monitor judges the equilibrated factors. The opamp testbenches'
+  // 1 MH / 1 F DC-feedback elements put the raw condition estimate near
+  // 1e20 at every point while the equilibrated factors are healthy; only
+  // a point that still trips pays for condest and refinement. There is no
+  // equilibrate-and-refactorize rescue rung: a point that fails on its
+  // equilibrated values has already had that rung.
   if (use_sparse_) {
+    if (mode != NumericHealthMode::Off) try_equilibrate_sparse();
     bool factored = false;
-    if (mode == NumericHealthMode::Force) try_equilibrate_sparse();
     try {
       slu_.factorize(pattern_, avals_);
       factored = true;
     } catch (const NumericError&) {
-      // Equilibrate-and-refactorize rung before abandoning the sparse
-      // path for this point.
-      if (mode != NumericHealthMode::Off && !equilibrated_now_ &&
-          try_equilibrate_sparse()) {
-        try {
-          slu_.factorize(pattern_, avals_);
-          factored = true;
-          health_.recovered = true;
-        } catch (const NumericError&) {
-        }
-      }
+      // Stale ordering or a singular point: the kernel-switch rung below.
     }
     if (factored) {
       sparse_live_ = true;
@@ -640,17 +639,8 @@ void AcKernel::factorize() {
     health_.equilibrated = false;
     if (mode != NumericHealthMode::Off) health_.recovered = true;
   }
-  if (mode == NumericHealthMode::Force && !equilibrated_now_) {
-    try_equilibrate_dense();
-  }
-  try {
-    factor_dense();
-  } catch (const NumericError&) {
-    if (mode == NumericHealthMode::Off || equilibrated_now_) throw;
-    if (!try_equilibrate_dense()) throw;
-    factor_dense();
-    health_.recovered = true;
-  }
+  if (mode != NumericHealthMode::Off) try_equilibrate_dense();
+  factor_dense();
   if (mode != NumericHealthMode::Off) post_factor_health(mode);
 }
 
@@ -659,7 +649,7 @@ bool AcKernel::try_equilibrate_sparse() {
   if (fi != nullptr && fi->on_equilibrate()) return false;
   if (!compute_equilibration_csr(pattern_.row_ptr().data(),
                                  pattern_.cols().data(), avals_.data(), dim_,
-                                 row_scale_, col_scale_)) {
+                                 row_scale_, col_scale_, col_sums_)) {
     return false;
   }
   scale_csr(pattern_.row_ptr().data(), pattern_.cols().data(), avals_.data(),

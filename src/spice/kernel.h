@@ -30,21 +30,29 @@
 /// 15): every factorization tracks its pivot extremes (an O(1) growth /
 /// condition monitor), and when the ambient NumericHealthMode says so —
 /// or the monitors trip — the solve runs Hager's condition estimate,
-/// fixed-precision iterative refinement, and a recovery ladder (refine ->
-/// equilibrate-and-refactorize -> switch kernel -> the gmin ladder above)
-/// before giving up. The per-solve outcome is exposed through health()
-/// and aggregated into KernelStats.
+/// fixed-precision iterative refinement, and a recovery ladder before
+/// giving up. Real systems climb refine -> equilibrate-and-refactorize
+/// -> switch kernel -> the gmin ladder above. AC points are factorized
+/// on their power-of-two equilibrated values from the start whenever the
+/// layer is on (LAPACK xGESVX practice), so the monitors judge the
+/// equilibrated factors and only a genuinely ill-conditioned point pays
+/// for the estimate and refinement; their ladder is refine -> switch
+/// kernel. The per-solve outcome is exposed through health() and
+/// aggregated into KernelStats.
 ///
 /// Both workspaces additionally carry a *sparse* factorization path
 /// (src/util/sparse.h, DESIGN.md section 13): the stamp recorder on
 /// MnaReal/MnaComplex captures the structural slot pattern once per
 /// topology, a Markowitz symbolic factorization is done once and then
 /// *reused* — each Newton iteration / AC point only gathers slot values
-/// and replays the compiled elimination program. A crossover heuristic
-/// (KernelPolicy) keeps tiny systems on the dense path, where flat
-/// O(n^3) loops still win; a sparse refactor whose pivots collapse
-/// (stale ordering) falls back to the dense solver for that solve and
-/// counts KernelStats::sparse_fallbacks.
+/// and replays the compiled elimination program. Each kernel family has
+/// its own Auto crossover (kRealCrossover, kAcCrossover), measured on the
+/// opamp testbenches by bench_spice_kernel: real DC / transient systems
+/// of the estimate testbenches (dim ~15-30) stay on dense LU, while
+/// complex AC systems go sparse from dim 8, so an opamp sweep reuses one
+/// symbolic factorization across all its points. A sparse refactor whose
+/// pivots collapse (stale ordering) falls back to the dense solver for
+/// that solve and counts KernelStats::sparse_fallbacks.
 ///
 /// Ownership / thread-safety: a workspace borrows the Circuit it was
 /// compiled from and is valid for one analysis call on one thread; it
@@ -69,30 +77,50 @@ namespace ape::spice {
 
 /// Which factorization path a solver workspace uses.
 enum class KernelPath {
-  Auto,        ///< crossover heuristic: sparse for large, sparse systems
+  Auto,        ///< the kernel family's crossover (SparseCrossover below)
   ForceDense,  ///< always the dense LuSolver (the pre-sparse behaviour)
   ForceSparse, ///< always the sparse path (equivalence tests)
 };
 
-/// Crossover policy for KernelPath::Auto. Dense LU wins at tiny n — the
-/// flat O(n^3) loops beat the sparse machinery's indirection until the
-/// system is both big enough and sparse enough; the defaults keep every
-/// opamp estimate testbench (dim ~15-30) on the proven dense path and
-/// were chosen from the bench_spice_kernel crossover table
-/// (BENCH_spice_kernel.json).
+/// Auto-mode dense/sparse crossover of one kernel family: sparse once the
+/// frozen pattern has at least \p min_dim rows and a density nnz / n^2 of
+/// at most \p max_density. Dense LU wins at tiny n, where its flat
+/// O(n^3) loops beat the sparse machinery's indirection, and on dense
+/// patterns, where Markowitz ordering saves nothing.
+struct SparseCrossover {
+  size_t min_dim;
+  double max_density;
+};
+
+/// Real systems: SolveWorkspace (DC / transient Newton) and the AWE
+/// moment recursion. Keeps the estimate testbenches (dim ~15-30) dense
+/// although a lone sparse Newton solve is faster there: routing them
+/// sparse moves Newton iterates near the convergence boundary and so
+/// changes which borderline specs fail DC (DESIGN.md section 13).
+inline constexpr SparseCrossover kRealCrossover{48, 0.35};
+
+/// Complex AC systems (AcKernel). A complex flop costs ~4 real ones, so
+/// dense LU loses early: on the headline opamp's open-loop testbench
+/// (dim 15, density 0.27) a sparse AC point is 3-4x faster than a dense
+/// one (bench_spice_kernel "opamp_rows"), and the ladder table has
+/// sparse ahead from dim 8. Each AC point is one linear solve, so the
+/// path changes its result only by rounding.
+inline constexpr SparseCrossover kAcCrossover{8, 0.5};
+
+/// Path selection: an explicit override, or Auto — the crossover the
+/// calling kernel family passes in.
 struct KernelPolicy {
   KernelPath path = KernelPath::Auto;
-  size_t sparse_min_dim = 48;        ///< Auto: dense below this dimension
-  double sparse_max_density = 0.35;  ///< Auto: dense above this pattern density
 
-  /// The Auto decision for a frozen pattern of \p dim / \p density.
-  bool wants_sparse(size_t dim, double density) const {
+  /// The decision for a frozen pattern of \p dim / \p density.
+  bool wants_sparse(size_t dim, double density,
+                    const SparseCrossover& crossover) const {
     switch (path) {
       case KernelPath::ForceDense: return false;
       case KernelPath::ForceSparse: return true;
       case KernelPath::Auto: break;
     }
-    return dim >= sparse_min_dim && density <= sparse_max_density;
+    return dim >= crossover.min_dim && density <= crossover.max_density;
   }
 };
 

@@ -113,10 +113,10 @@ AweModel awe_reduce(
   // old per-order allocations (the recursion only ever reads m_cur).
   //
   // Large reduced networks (interconnect ladders) go through the sparse
-  // LU and a CSR matvec for C, selected by the same crossover policy as
-  // the MNA kernel. A plain value scan is a safe pattern source here —
-  // unlike the Newton kernel, G and C are fixed for the whole reduction,
-  // so a zero entry can never "turn on" later.
+  // LU and a CSR matvec for C, selected by the real-system crossover of
+  // the MNA kernel (spice::kRealCrossover). A plain value scan is a safe
+  // pattern source here — unlike the Newton kernel, G and C are fixed for
+  // the whole reduction, so a zero entry can never "turn on" later.
   SparsePattern gp(dim);
   std::vector<double> gvals;
   std::vector<int> c_rp, c_cols;
@@ -127,7 +127,8 @@ AweModel awe_reduce(
     }
   }
   gp.finalize();
-  const bool use_sparse = spice::kernel_policy().wants_sparse(dim, gp.density());
+  const bool use_sparse =
+      spice::kernel_policy().wants_sparse(dim, gp.density(), spice::kRealCrossover);
   LuSolver<double> lu;
   SparseLuReal slu;
   if (use_sparse) {

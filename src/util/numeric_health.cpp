@@ -13,6 +13,15 @@ namespace {
 double abs_of(double v) { return std::abs(v); }
 double abs_of(const std::complex<double>& v) { return std::abs(v); }
 
+/// Equilibration magnitude: |re| + |im| for complex values (LAPACK
+/// xGEEQU's CABS1), within a factor sqrt(2) of |z| and free of the hypot
+/// call — the scales are rounded to powers of two anyway, and AC sweeps
+/// compute them at every point.
+double mag1_of(double v) { return std::abs(v); }
+double mag1_of(const std::complex<double>& v) {
+  return std::abs(v.real()) + std::abs(v.imag());
+}
+
 /// Elementwise sign for Hager's probe: y/|y|, 1 where y == 0.
 double sign_of(double v) { return v >= 0.0 ? 1.0 : -1.0; }
 std::complex<double> sign_of(const std::complex<double>& v) {
@@ -52,9 +61,12 @@ std::string singular_message(const char* kernel, size_t step, size_t dim,
 
 double pow2_scale(double magnitude) {
   if (!(magnitude > 0.0) || !std::isfinite(magnitude)) return 1.0;
-  // 2^-round(log2(m)): maps m into [1/sqrt(2), sqrt(2)) exactly.
-  const int e = static_cast<int>(std::lround(std::log2(magnitude)));
-  return std::ldexp(1.0, -e);
+  // 2^-round(log2(m)): maps m into [1/sqrt(2), sqrt(2)) exactly. With
+  // m = f * 2^e, f in [0.5, 1), log2(m) rounds to e when f >= 1/sqrt(2)
+  // and to e - 1 below — no logarithm needed.
+  int e = 0;
+  const double f = std::frexp(magnitude, &e);
+  return std::ldexp(1.0, f >= M_SQRT1_2 ? -e : 1 - e);
 }
 
 template <typename T>
@@ -66,13 +78,13 @@ bool compute_equilibration(const T* a, size_t n, std::vector<double>& row_scale,
   for (size_t i = 0; i < n; ++i) {
     double m = 0.0;
     const T* row = a + i * n;
-    for (size_t j = 0; j < n; ++j) m = std::max(m, abs_of(row[j]));
+    for (size_t j = 0; j < n; ++j) m = std::max(m, mag1_of(row[j]));
     row_scale[i] = pow2_scale(m);
   }
   for (size_t j = 0; j < n; ++j) {
     double m = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      m = std::max(m, abs_of(a[i * n + j]) * row_scale[i]);
+      m = std::max(m, mag1_of(a[i * n + j]) * row_scale[i]);
     }
     col_scale[j] = pow2_scale(m);
   }
@@ -91,21 +103,22 @@ template <typename T>
 bool compute_equilibration_csr(const int* row_ptr, const int* cols,
                                const T* vals, size_t n,
                                std::vector<double>& row_scale,
-                               std::vector<double>& col_scale) {
+                               std::vector<double>& col_scale,
+                               std::vector<double>& colmax) {
   row_scale.assign(n, 1.0);
   col_scale.assign(n, 1.0);
   if (n == 0) return false;
   for (size_t i = 0; i < n; ++i) {
     double m = 0.0;
     for (int s = row_ptr[i]; s < row_ptr[i + 1]; ++s) {
-      m = std::max(m, abs_of(vals[s]));
+      m = std::max(m, mag1_of(vals[s]));
     }
     row_scale[i] = pow2_scale(m);
   }
-  std::vector<double> colmax(n, 0.0);
+  colmax.assign(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     for (int s = row_ptr[i]; s < row_ptr[i + 1]; ++s) {
-      colmax[cols[s]] = std::max(colmax[cols[s]], abs_of(vals[s]) * row_scale[i]);
+      colmax[cols[s]] = std::max(colmax[cols[s]], mag1_of(vals[s]) * row_scale[i]);
     }
   }
   for (size_t j = 0; j < n; ++j) col_scale[j] = pow2_scale(colmax[j]);
@@ -335,7 +348,7 @@ RefineOutcome refine_solution(
                                          std::vector<double>&);              \
   template bool compute_equilibration_csr<T>(                                \
       const int*, const int*, const T*, size_t, std::vector<double>&,        \
-      std::vector<double>&);                                                 \
+      std::vector<double>&, std::vector<double>&);                           \
   template void scale_dense<T>(T*, size_t, const std::vector<double>&,       \
                                const std::vector<double>&);                  \
   template void unscale_dense<T>(T*, size_t, const std::vector<double>&,     \

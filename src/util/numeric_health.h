@@ -99,11 +99,14 @@ bool compute_equilibration(const T* a, size_t n, std::vector<double>& row_scale,
                            std::vector<double>& col_scale);
 
 /// CSR variant of compute_equilibration (pattern slots + values).
+/// \p colmax is caller-owned column-maximum scratch (resized to n), so a
+/// workspace that equilibrates every AC point allocates nothing.
 template <typename T>
 bool compute_equilibration_csr(const int* row_ptr, const int* cols,
                                const T* vals, size_t n,
                                std::vector<double>& row_scale,
-                               std::vector<double>& col_scale);
+                               std::vector<double>& col_scale,
+                               std::vector<double>& colmax);
 
 /// Apply a_ij *= row_scale[i] * col_scale[j] in place. Exact (and thus
 /// exactly reversible via unscale_dense) because the scales are powers

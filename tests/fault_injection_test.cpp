@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <limits>
 
 #include "src/runtime/supervisor.h"
@@ -254,6 +255,52 @@ TEST(FaultInjection, CondEstimateFaultStillForcesRefinement) {
       << rep.health.summary();
   EXPECT_GT(rep.kernel.refinement_solves, 0L);
   EXPECT_NEAR(node_voltage(ckt, sol, "out"), 0.5, 1e-2);
+}
+
+// AC points are equilibrated up front whenever the health layer is on, so
+// the AC kernel has no equilibrate-and-refactorize rescue rung. With every
+// equilibration failing, a sweep must still land on the raw factors —
+// where the monitor now trips, so the condition is estimated and each
+// point refined.
+TEST(FaultInjection, AcEquilibrationOverflowFallsBackToRawFactors) {
+  // The spread divider under AC drive, with a load capacitor.
+  auto build = [](Circuit& ckt) {
+    Waveform drive;
+    drive.ac_mag = 1.0;
+    ckt.add<VSource>("vin", ckt.node("in"), kGround, drive);
+    ckt.add<Resistor>("r1", ckt.node("in"), ckt.node("mid"), 1e-3);
+    ckt.add<Resistor>("r2", ckt.node("mid"), ckt.node("out"), 1e9);
+    ckt.add<Resistor>("r3", ckt.node("out"), kGround, 1e9);
+    ckt.add<Capacitor>("c1", ckt.node("out"), kGround, 1e-12);
+    (void)dc_operating_point(ckt);
+  };
+  Circuit ref_ckt("spread-rc");
+  build(ref_ckt);
+  AcResult ref;
+  {
+    ScopedNumericHealthMode off(NumericHealthMode::Off);
+    ref = ac_analysis(ref_ckt, 1.0, 1e3, 2);
+  }
+
+  Circuit ckt("spread-rc");
+  build(ckt);
+  FaultInjector fi;
+  fi.equilibrate_overflow(0, 1000);
+  ScopedFaultInjection scope(fi);
+  KernelStats ks;
+  const AcResult ac = ac_analysis(ckt, 1.0, 1e3, 2, &ks);
+  const long points = static_cast<long>(ac.freq_hz.size());
+  // One equilibration attempt per point, none retried.
+  EXPECT_EQ(fi.counts().injected_equilibrate_overflow, points);
+  EXPECT_EQ(ks.equilibrated_solves, 0) << ks.summary();
+  EXPECT_EQ(ks.refinement_solves, points) << ks.summary();
+  EXPECT_LE(ks.residual_norm_max, 1e-9) << ks.summary();
+  const NodeId out = ckt.find_node("out");
+  for (size_t k = 0; k < ac.freq_hz.size(); ++k) {
+    const std::complex<double> want = ref.voltage(out, k);
+    EXPECT_LE(std::abs(ac.voltage(out, k) - want), 1e-9 * std::abs(want))
+        << "point " << k;
+  }
 }
 
 // --- dc_sweep: a mid-sweep failure names the failing sweep value ------------

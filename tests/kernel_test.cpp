@@ -18,6 +18,7 @@
 #include "src/spice/devices.h"
 #include "src/spice/fault.h"
 #include "src/spice/kernel.h"
+#include "src/spice/measure.h"
 #include "src/spice/noise.h"
 #include "src/spice/parser.h"
 #include "tests/test_models.h"
@@ -702,8 +703,9 @@ TEST(SparseEquivalence, LuSolveHookFiresOnSparsePath) {
 }
 
 TEST(SparseEquivalence, AutoPolicyKeepsSmallTestbenchesDense) {
-  // The default crossover must not move the paper's estimate testbenches
-  // (dim ~15-30) off the proven dense path.
+  // The real-system crossover must not move the DC solves of the paper's
+  // estimate testbenches (dim ~15-30) off the proven dense path (their AC
+  // sweeps go sparse; see AutoPolicyRoutesHeadlineOpampSweepSparse).
   Circuit ckt = make_opamp_tb(est::OpAmpTb::OpenLoop);
   ConvergenceReport rep;
   DcOptions opts;
@@ -711,6 +713,88 @@ TEST(SparseEquivalence, AutoPolicyKeepsSmallTestbenchesDense) {
   (void)dc_operating_point(ckt, opts);
   EXPECT_EQ(rep.kernel.numeric_refactors, 0);
   EXPECT_EQ(rep.kernel.factorizations, rep.newton_iterations);
+}
+
+// ---------------------------------------------------------------------------
+// AC routing and health on the headline opamp (DESIGN.md sections 13 and
+// 15): under Auto the open-loop sweep simulate_opamp runs (1 Hz - 1 GHz,
+// 20 points per decade) goes sparse on one symbolic factorization, every
+// point is factorized on its equilibrated values, and none of them needs
+// a condition estimate or refinement — the raw 1 MH / 1 F feedback
+// elements no longer trip the monitor.
+
+est::OpAmpSpec headline_spec() {
+  est::OpAmpSpec spec;
+  spec.gain = 200;
+  spec.ugf_hz = 5e6;
+  spec.ibias = 10e-6;
+  spec.cload = 10e-12;
+  spec.buffer = true;
+  spec.zout = 10e3;
+  return spec;
+}
+
+Circuit make_headline_tb(est::OpAmpTb mode) {
+  const est::Process proc = est::Process::default_1u2();
+  const est::OpAmpDesign d = est::OpAmpEstimator(proc).estimate(headline_spec());
+  return parse_netlist(d.testbench(proc, mode).netlist);
+}
+
+TEST(SparseEquivalence, AutoPolicyRoutesHeadlineOpampSweepSparse) {
+  AcResult dense;
+  {
+    ScopedKernelPolicy guard(kForceDense);
+    Circuit ckt = make_headline_tb(est::OpAmpTb::OpenLoop);
+    (void)dc_operating_point(ckt);
+    dense = ac_analysis(ckt, 1.0, 1e9, 20);
+  }
+  Circuit ckt = make_headline_tb(est::OpAmpTb::OpenLoop);
+  (void)dc_operating_point(ckt);
+  KernelStats ks;
+  const AcResult got = ac_analysis(ckt, 1.0, 1e9, 20, &ks);
+  const long n = static_cast<long>(got.freq_hz.size());
+  ASSERT_EQ(n, 181);
+  EXPECT_EQ(ks.symbolic_analyses, 1) << ks.summary();
+  EXPECT_EQ(ks.symbolic_reuses, n - 1) << ks.summary();
+  EXPECT_EQ(ks.sparse_fallbacks, 0) << ks.summary();
+  EXPECT_EQ(ks.factorizations, 0) << ks.summary();
+  EXPECT_EQ(ks.refinement_solves, 0) << ks.summary();
+  EXPECT_EQ(ks.equilibrated_solves, n) << ks.summary();
+  EXPECT_EQ(ks.workspace_regrowths, 0) << ks.summary();
+
+  const NodeId out = ckt.find_node("out");
+  const Bode bd(dense, out);
+  const Bode bs(got, out);
+  auto rel = [](double a, double b) {
+    return std::fabs(a - b) / std::max(std::fabs(a), std::fabs(b));
+  };
+  EXPECT_LE(rel(bd.dc_gain(), bs.dc_gain()), 1e-9);
+  ASSERT_TRUE(bd.unity_gain_freq().has_value());
+  ASSERT_TRUE(bs.unity_gain_freq().has_value());
+  EXPECT_LE(rel(*bd.unity_gain_freq(), *bs.unity_gain_freq()), 1e-9);
+  ASSERT_TRUE(bd.phase_margin_deg().has_value());
+  ASSERT_TRUE(bs.phase_margin_deg().has_value());
+  EXPECT_LE(rel(*bd.phase_margin_deg(), *bs.phase_margin_deg()), 1e-9);
+}
+
+TEST(KernelStats_, SinglePointSweepMatchesFirstSweepPointBitForBit) {
+  // simulate_opamp reads the common-mode and Zout sweeps at 1 Hz only and
+  // now solves just that point; it must be the same bits the full sweep
+  // produced there.
+  for (est::OpAmpTb mode : {est::OpAmpTb::CommonMode, est::OpAmpTb::ZoutProbe}) {
+    Circuit a = make_headline_tb(mode);
+    Circuit b = make_headline_tb(mode);
+    (void)dc_operating_point(a);
+    (void)dc_operating_point(b);
+    const AcResult sweep = ac_analysis(a, 1.0, 1e3, 5);
+    const AcResult spot = ac_analysis(b, 1.0, 1.0);
+    ASSERT_EQ(spot.freq_hz.size(), 1u);
+    EXPECT_EQ(spot.freq_hz[0], 1.0);
+    ASSERT_EQ(spot.solutions[0].size(), sweep.solutions[0].size());
+    for (size_t i = 0; i < spot.solutions[0].size(); ++i) {
+      EXPECT_EQ(spot.solutions[0][i], sweep.solutions[0][i]) << "entry " << i;
+    }
+  }
 }
 
 }  // namespace

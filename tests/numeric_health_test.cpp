@@ -21,6 +21,7 @@
 #include "src/lint/lint.h"
 #include "src/runtime/supervisor.h"
 #include "src/spice/analysis.h"
+#include "src/spice/devices.h"
 #include "src/spice/fault.h"
 #include "src/spice/kernel.h"
 #include "src/spice/parser.h"
@@ -375,6 +376,36 @@ TEST(KernelHealth, ForcedModeRecordsFullRecord) {
   EXPECT_GT(report.kernel.refinement_solves, 0);
   EXPECT_GT(report.kernel.equilibrated_solves, 0);
   EXPECT_LE(report.health.residual_norm, 1e-9) << report.health.summary();
+}
+
+// ---------------------------------------------------------------------------
+// AC verdicts are taken on the equilibrated factors (DESIGN.md section
+// 15). Equilibration must not blind the monitor: a lossless LC tank
+// (1 uH || 1 nF, AC current drive) solved at its resonance is singular
+// but for the 1e-12 S floating-node gmin, and no row/column scaling can
+// change that. Auto mode must still estimate the condition number and
+// refine.
+
+TEST(KernelHealth, LosslessTankAtResonanceStillTripsAfterEquilibration) {
+  spice::Circuit ckt("lc-tank");
+  spice::Waveform drive;
+  drive.ac_mag = 1.0;
+  const spice::NodeId tank = ckt.node("tank");
+  ckt.add<spice::ISource>("iin", spice::kGround, tank, drive);
+  ckt.add<spice::Inductor>("l1", tank, spice::kGround, 1e-6);
+  ckt.add<spice::Capacitor>("c1", tank, spice::kGround, 1e-9);
+  (void)spice::dc_operating_point(ckt);
+
+  const double f0 = 1.0 / (2.0 * M_PI * std::sqrt(1e-6 * 1e-9));
+  KernelStats ks;
+  const spice::AcResult ac = spice::ac_analysis(ckt, f0, f0, 20, &ks);
+  ASSERT_EQ(ac.freq_hz.size(), 1u);
+  EXPECT_EQ(ks.equilibrated_solves, 1) << ks.summary();
+  EXPECT_GT(ks.cond_estimate_max, health::kCondTrigger) << ks.summary();
+  EXPECT_EQ(ks.refinement_solves, 1) << ks.summary();
+  EXPECT_LE(ks.residual_norm_max, 1e-9) << ks.summary();
+  // At resonance the tank's admittance cancels; only gmin loads the node.
+  EXPECT_NEAR(std::abs(ac.voltage(tank, 0)), 1e12, 1e10);
 }
 
 // ---------------------------------------------------------------------------
