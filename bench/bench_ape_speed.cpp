@@ -32,6 +32,7 @@
 #include "src/runtime/batch.h"
 #include "src/spice/analysis.h"
 #include "src/spice/parser.h"
+#include "src/synth/sizing.h"
 
 using namespace ape;
 using namespace ape::est;
@@ -157,6 +158,22 @@ OpAmpSpec headline_spec() {
   return spec;
 }
 
+/// Best of five repetitions of \p iters calls, in microseconds per call:
+/// the minimum discards scheduler noise, so the committed trajectory value
+/// is stable enough for the 20% gate.
+double best_of_5_us(int iters, const std::function<void()>& call) {
+  double best = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) call();
+    const auto t1 = std::chrono::steady_clock::now();
+    const double us =
+        std::chrono::duration<double, std::micro>(t1 - t0).count() / iters;
+    if (us < best) best = us;
+  }
+  return best;
+}
+
 /// Single-thread opamp estimate-path latency in microseconds — the
 /// metric the committed BENCH_ape_speed.json trajectory (and the
 /// check_bench regression gate) tracks across PRs.
@@ -164,19 +181,21 @@ double time_estimate_path_us() {
   const OpAmpEstimator oe(proc());
   const OpAmpSpec spec = headline_spec();
   (void)oe.estimate(spec);  // warm caches
-  // Best of five repetitions: the minimum discards scheduler noise, so
-  // the committed trajectory value is stable enough for the 20% gate.
-  const int iters = 200;
-  double best = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) benchmark::DoNotOptimize(oe.estimate(spec));
-    const auto t1 = std::chrono::steady_clock::now();
-    const double us =
-        std::chrono::duration<double, std::micro>(t1 - t0).count() / iters;
-    if (us < best) best = us;
-  }
-  return best;
+  return best_of_5_us(200, [&] { benchmark::DoNotOptimize(oe.estimate(spec)); });
+}
+
+/// Cost of one annealer candidate evaluation (`synth::evaluate_opamp_vars`)
+/// at the headline spec's APE seed point, timed like the estimate path.
+/// Reported, not gated: the per-candidate vs per-estimate trajectory.
+double time_candidate_eval_us(bool buffered) {
+  const OpAmpEstimator oe(proc());
+  OpAmpSpec spec = headline_spec();
+  spec.buffer = buffered;
+  const synth::OpAmpVars v = synth::vars_from_design(oe.estimate(spec));
+  return best_of_5_us(1000, [&] {
+    benchmark::DoNotOptimize(
+        synth::evaluate_opamp_vars(proc(), v, spec.ibias, spec.cload));
+  });
 }
 
 /// Run the headline opamp's testbench through DC + AC on the compiled
@@ -444,8 +463,14 @@ int run_batch_comparison() {
               identical ? "yes" : "NO", pooled.stats.cache.hit_rate());
 
   const double est_us = time_estimate_path_us();
+  const double cand_buf_us = time_candidate_eval_us(true);
+  const double cand_unbuf_us = time_candidate_eval_us(false);
   const KernelStats ks = kernel_audit();
   std::printf("estimate path: %.1f us/opamp (single thread)\n", est_us);
+  std::printf(
+      "candidate evaluation: %.1f us buffered (%.2fx the estimate), "
+      "%.1f us unbuffered (%.2fx)\n",
+      cand_buf_us, cand_buf_us / est_us, cand_unbuf_us, cand_unbuf_us / est_us);
   std::printf("%s\n", ks.summary().c_str());
 
   const ProveBench pb = run_prove_comparison();
@@ -470,6 +495,9 @@ int run_batch_comparison() {
       "  \"cache_misses\": %ld,\n"
       "  \"cache_hit_rate\": %.4f,\n"
       "  \"estimate_path_us\": %.2f,\n"
+      "  \"candidate_eval_us\": {\"buffered\": %.2f, \"unbuffered\": %.2f},\n"
+      "  \"candidate_eval_over_estimate\": {\"buffered\": %.3f, "
+      "\"unbuffered\": %.3f},\n"
       "  \"prove_overhead_bp\": %ld,\n"
       "  \"prove_pruning_speedup\": %.3f,\n"
       "  \"prove_feasible_seconds\": [%.6f, %.6f],\n"
@@ -513,7 +541,8 @@ int run_batch_comparison() {
       speedup_valid ? "true" : "false", identical ? "true" : "false",
       pooled.stats.failed,
       pooled.stats.cache.hits, pooled.stats.cache.misses,
-      pooled.stats.cache.hit_rate(), est_us,
+      pooled.stats.cache.hit_rate(), est_us, cand_buf_us, cand_unbuf_us,
+      cand_buf_us / est_us, cand_unbuf_us / est_us,
       pb.overhead_bp, pb.pruning_speedup,
       pb.feasible_without_s, pb.feasible_with_s,
       pb.mixed_without_s, pb.mixed_with_s,

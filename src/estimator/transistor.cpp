@@ -9,6 +9,7 @@
 namespace ape::est {
 namespace {
 
+using spice::MosConductance;
 using spice::MosEval;
 using spice::MosModelCard;
 using spice::MosType;
@@ -31,7 +32,7 @@ double TransistorEstimator::vgs_for_id(MosType type, double w, double l,
   // is the estimator's hottest loop — every sizing refinement lands here).
   // The [lo, hi] bracket guarantees progress where gm vanishes (cutoff).
   double lo = 0.0, hi = 3.0 * proc_.vdd + 5.0;
-  const double i_hi = spice::mos_eval(card, hi, vds, vbs, w, l).ids;
+  const double i_hi = spice::mos_ids(card, hi, vds, vbs, w, l);
   if (i_hi < id) {
     throw SpecError("vgs_for_id: " + units::format_eng(id) +
                     "A unreachable with W=" + units::format_eng(w) +
@@ -42,7 +43,7 @@ double TransistorEstimator::vgs_for_id(MosType type, double w, double l,
   double vgs = std::fabs(card.vto) + std::sqrt(2.0 * id * card.leff(l) / (kp * w));
   if (!std::isfinite(vgs) || vgs <= lo || vgs >= hi) vgs = 0.5 * (lo + hi);
   for (int i = 0; i < 100; ++i) {
-    const MosEval e = spice::mos_eval(card, vgs, vds, vbs, w, l);
+    const MosConductance e = spice::mos_conductance(card, vgs, vds, vbs, w, l);
     const double f = e.ids - id;
     if (std::fabs(f) <= 1e-12 * id) break;
     if (f < 0.0) {

@@ -458,25 +458,27 @@ void Mosfet::resize(double w, double l) {
   ps_ = pd_;
 }
 
-MosEval Mosfet::eval_at(const Solution& x, double* id_true) const {
-  double vgs = x.at(g_) - x.at(s_);
-  double vds = x.at(d_) - x.at(s_);
-  double vbs = x.at(b_) - x.at(s_);
-  if (model_->type == MosType::Pmos) {
-    vgs = -vgs;
-    vds = -vds;
-    vbs = -vbs;
-  }
-  MosEval e = mos_eval(*model_, vgs, vds, vbs, w_, l_, ad_, as_, pd_, ps_);
-  // For PMOS the drain-terminal current is the negative of the normalized
-  // current; the conductances are sign-invariant under the mapping.
-  *id_true = (model_->type == MosType::Pmos) ? -e.ids : e.ids;
-  return e;
+std::array<double, 3> Mosfet::normalized_bias(const Solution& x) const {
+  const double vgs = x.at(g_) - x.at(s_);
+  const double vds = x.at(d_) - x.at(s_);
+  const double vbs = x.at(b_) - x.at(s_);
+  if (model_->type == MosType::Pmos) return {-vgs, -vds, -vbs};
+  return {vgs, vds, vbs};
+}
+
+MosEval Mosfet::eval_at(const Solution& x) const {
+  const auto [vgs, vds, vbs] = normalized_bias(x);
+  return mos_eval(*model_, vgs, vds, vbs, w_, l_, ad_, as_, pd_, ps_);
 }
 
 void Mosfet::stamp_dc(MnaReal& mna, const Solution& x, double) const {
-  double id = 0.0;
-  const MosEval e = eval_at(x, &id);
+  // The Newton companion reads no capacitance, so it skips their
+  // evaluation; op_ (AC, noise, transient companions) comes from eval_at.
+  const auto [vgs_n, vds_n, vbs_n] = normalized_bias(x);
+  const MosConductance e = mos_conductance(*model_, vgs_n, vds_n, vbs_n, w_, l_);
+  // For PMOS the drain-terminal current is the negative of the normalized
+  // current; the conductances are sign-invariant under the mapping.
+  const double id = (model_->type == MosType::Pmos) ? -e.ids : e.ids;
   const double gm = std::max(e.gm, 0.0);
   const double gds = std::max(e.gds, kGmin);
   const double gmb = std::max(e.gmb, 0.0);
@@ -500,8 +502,7 @@ void Mosfet::stamp_dc(MnaReal& mna, const Solution& x, double) const {
 }
 
 void Mosfet::save_op(const Solution& x) {
-  double id = 0.0;
-  op_ = eval_at(x, &id);
+  op_ = eval_at(x);
   // Initialize transient companions at the DC point.
   cgs_st_ = {x.at(g_) - x.at(s_), 0.0};
   cgd_st_ = {x.at(g_) - x.at(d_), 0.0};
@@ -577,8 +578,7 @@ void Mosfet::accept_tran_step(const Solution& x, const TranContext& tc) {
   cdb_st_.accept(d_, b_, op_.cdb, x, tc);
   csb_st_.accept(s_, b_, op_.csb, x, tc);
   // Refresh the bias-dependent capacitances for the next step.
-  double id = 0.0;
-  op_ = eval_at(x, &id);
+  op_ = eval_at(x);
 }
 
 }  // namespace ape::spice

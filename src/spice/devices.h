@@ -3,6 +3,7 @@
 /// Concrete circuit elements: R, C, L, independent sources (DC/AC/PULSE/
 /// SIN/PWL), the four controlled sources, diode, and the MOSFET.
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -257,9 +258,11 @@ public:
   DeviceStructure structure() const override;
 
 private:
-  /// NMOS-normalized evaluation at candidate x, plus the drain-terminal
-  /// current with true sign.
-  MosEval eval_at(const Solution& x, double* id_true) const;
+  /// Terminal voltages {vgs, vds, vbs} at candidate x, in the device's
+  /// NMOS-normalized frame.
+  std::array<double, 3> normalized_bias(const Solution& x) const;
+  /// Full NMOS-normalized evaluation (capacitances included) at x.
+  MosEval eval_at(const Solution& x) const;
 
   NodeId d_, g_, s_, b_;
   const MosModelCard* model_;

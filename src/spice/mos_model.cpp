@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "src/util/error.h"
 
@@ -159,6 +160,38 @@ double junction_cap(double c0_area, double mj, double c0_perim, double mjsw,
   return term(c0_area, mj) + term(c0_perim, mjsw);
 }
 
+void check_geometry(const char* who, double w, double l) {
+  if (w <= 0.0 || l <= 0.0) {
+    throw NumericError(std::string(who) + ": non-positive W or L");
+  }
+}
+
+/// Conductance part of the evaluation; the caller has checked W and L.
+MosConductance conductance(const MosModelCard& m, double vgs, double vds,
+                           double vbs, double w, double l) {
+  MosConductance r;
+  const CoreEval core = ids_any(m, vgs, vds, vbs, w, l);
+  r.ids = core.ids;
+  r.vth = core.vth;
+  r.vdsat = core.vdsat;
+  r.region = core.region;
+
+  // Derivatives by central finite differences of the (continuous) current
+  // function. This keeps every model level and both vds signs on one
+  // consistent code path, which matters for Newton convergence.
+  const double h = 1e-6;
+  r.gm = (ids_any(m, vgs + h, vds, vbs, w, l).ids -
+          ids_any(m, vgs - h, vds, vbs, w, l).ids) /
+         (2.0 * h);
+  r.gds = (ids_any(m, vgs, vds + h, vbs, w, l).ids -
+           ids_any(m, vgs, vds - h, vbs, w, l).ids) /
+          (2.0 * h);
+  r.gmb = (ids_any(m, vgs, vds, vbs + h, w, l).ids -
+           ids_any(m, vgs, vds, vbs - h, w, l).ids) /
+          (2.0 * h);
+  return r;
+}
+
 }  // namespace
 
 double MosModelCard::cox() const { return kEpsOx / std::max(tox, 1e-10); }
@@ -179,30 +212,24 @@ std::string to_card_string(const MosModelCard& m) {
   return buf;
 }
 
+double mos_ids(const MosModelCard& m, double vgs, double vds, double vbs,
+               double w, double l) {
+  check_geometry("mos_ids", w, l);
+  return ids_any(m, vgs, vds, vbs, w, l).ids;
+}
+
+MosConductance mos_conductance(const MosModelCard& m, double vgs, double vds,
+                               double vbs, double w, double l) {
+  check_geometry("mos_conductance", w, l);
+  return conductance(m, vgs, vds, vbs, w, l);
+}
+
 MosEval mos_eval(const MosModelCard& m, double vgs, double vds, double vbs,
                  double w, double l, double ad, double as, double pd,
                  double ps) {
-  if (w <= 0.0 || l <= 0.0) throw NumericError("mos_eval: non-positive W or L");
+  check_geometry("mos_eval", w, l);
   MosEval r;
-  const CoreEval core = ids_any(m, vgs, vds, vbs, w, l);
-  r.ids = core.ids;
-  r.vth = core.vth;
-  r.vdsat = core.vdsat;
-  r.region = core.region;
-
-  // Derivatives by central finite differences of the (continuous) current
-  // function. This keeps all three model levels and both vds signs on one
-  // consistent code path, which matters for Newton convergence.
-  const double h = 1e-6;
-  r.gm = (ids_any(m, vgs + h, vds, vbs, w, l).ids -
-          ids_any(m, vgs - h, vds, vbs, w, l).ids) /
-         (2.0 * h);
-  r.gds = (ids_any(m, vgs, vds + h, vbs, w, l).ids -
-           ids_any(m, vgs, vds - h, vbs, w, l).ids) /
-          (2.0 * h);
-  r.gmb = (ids_any(m, vgs, vds, vbs + h, w, l).ids -
-           ids_any(m, vgs, vds, vbs - h, w, l).ids) /
-          (2.0 * h);
+  static_cast<MosConductance&>(r) = conductance(m, vgs, vds, vbs, w, l);
 
   // Meyer gate capacitances, piecewise by region (forward orientation).
   const double leff = std::max(m.leff(l), 1e-8);

@@ -1,13 +1,38 @@
 #pragma once
 /// \file mos_model.h
-/// SPICE MOSFET model cards (Level 1 / 2 / 3) and their DC / small-signal /
-/// charge evaluation.
+/// SPICE MOSFET model cards (Level 1 / 2 / 3 / 4) and their DC /
+/// small-signal / charge evaluation.
 ///
-/// This single evaluation path is shared by the circuit simulator (for
-/// "SPICE sim" columns) and by the APE estimator (for sizing), mirroring
-/// the paper's statement that "the sizing process is tied to the
-/// fabrication process parameters and the sizing accuracy is directly
-/// dependent on the transistor model used".
+/// One model path is shared by the circuit simulator (for "SPICE sim"
+/// columns) and by the APE estimator (for sizing), mirroring the paper's
+/// statement that "the sizing process is tied to the fabrication process
+/// parameters and the sizing accuracy is directly dependent on the
+/// transistor model used".
+///
+/// It has three entry points, so that each caller pays only for the
+/// quantities it reads:
+///  - `mos_ids`: the drain current alone (one current evaluation). Used by
+///    the root finders that only compare currents: the bias bisections of
+///    `synth::solve_bias` (sizing.cpp), the bracket probe of
+///    `est::TransistorEstimator::vgs_for_id` and the width probe of
+///    `est::ComponentEstimator::device_at_vgs`.
+///  - `mos_conductance`: current, finite-difference gm/gds/gmb, vth, vdsat
+///    and region (seven current evaluations). Used where the capacitances
+///    are not read: every DC and transient Newton stamp
+///    (`Mosfet::stamp_dc`, `Mosfet::stamp_tran`) and the Newton loop of
+///    `vgs_for_id`.
+///  - `mos_eval`: `mos_conductance` plus the Meyer and junction
+///    capacitances. Used at operating points whose caps are read: the
+///    simulator's saved operating point (`Mosfet::save_op`,
+///    `Mosfet::accept_tran_step`, read by AC, noise and the transient
+///    companions), the final bias points of `synth::solve_bias` and the
+///    estimator's `TransistorEstimator::finish`.
+///
+/// The cheaper entry points are prefixes of the same computation, not
+/// approximations: `mos_ids` returns the value `mos_conductance` stores in
+/// `ids`, and `mos_eval` fills its conductance fields with the code behind
+/// `mos_conductance`. Every field a caller reads is therefore bit-identical
+/// whichever entry point produced it.
 
 #include <string>
 
@@ -95,7 +120,7 @@ enum class MosRegion { Cutoff, Triode, Saturation };
 /// All values use the device's own sign convention (NMOS-normalized):
 /// the evaluator maps PMOS terminals internally, and `ids` is the current
 /// flowing drain->source for NMOS, source->drain magnitude for PMOS.
-struct MosEval {
+struct MosConductance {
   double ids = 0.0;   ///< drain current [A] (NMOS-normalized, >= 0 in forward)
   double gm = 0.0;    ///< dIds/dVgs [S]
   double gds = 0.0;   ///< dIds/dVds [S]
@@ -103,7 +128,10 @@ struct MosEval {
   double vth = 0.0;   ///< threshold voltage at this Vbs [V]
   double vdsat = 0.0; ///< saturation voltage [V]
   MosRegion region = MosRegion::Cutoff;
+};
 
+/// `MosConductance` plus the bias-dependent capacitances.
+struct MosEval : MosConductance {
   // Meyer small-signal gate capacitances (intrinsic + overlap) [F].
   double cgs = 0.0;
   double cgd = 0.0;
@@ -112,6 +140,18 @@ struct MosEval {
   double cdb = 0.0;
   double csb = 0.0;
 };
+
+/// Drain current alone at NMOS-normalized terminal voltages: exactly
+/// `mos_eval(m, vgs, vds, vbs, w, l).ids`. Throws NumericError on a
+/// non-positive W or L.
+double mos_ids(const MosModelCard& m, double vgs, double vds, double vbs,
+               double w, double l);
+
+/// Conductance part of `mos_eval` (no capacitances): every field equals its
+/// `mos_eval` counterpart bit for bit. Throws NumericError on a
+/// non-positive W or L.
+MosConductance mos_conductance(const MosModelCard& m, double vgs, double vds,
+                               double vbs, double w, double l);
 
 /// Evaluate the model at NMOS-normalized terminal voltages.
 /// For PMOS devices, negate (vgs, vds, vbs) before calling and interpret

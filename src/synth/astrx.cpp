@@ -251,9 +251,9 @@ SynthesisOutcome finalize_opamp_outcome(const Process& proc,
   out.cost = best_cost;
   out.best_x = best_x;
   const OpAmpVars best = OpAmpVars::unpack(best_x, buffered);
-  const OpAmpEval ev = evaluate_opamp_vars(proc, best, spec.ibias, spec.cload);
+  OpAmpEval ev;
+  out.design = design_from_vars(proc, best, spec, &ev);
   out.functional = ev.functional;
-  out.design = design_from_vars(proc, best, spec);
 
   // Verify on the full simulator (skip the transient when clearly broken).
   bool sim_ok = false;
@@ -380,9 +380,9 @@ ModuleDesign module_from_vars(const Process& proc, const ModuleDesign& proto,
                             x.begin() + (a + 1) * stride);
     const OpAmpVars v = OpAmpVars::unpack(sub, buffered);
     const OpAmpSpec aspec = proto.opamps[a].spec;
-    const OpAmpEval ev = evaluate_opamp_vars(proc, v, aspec.ibias, aspec.cload);
+    OpAmpEval ev;
+    OpAmpDesign ad = design_from_vars(proc, v, aspec, &ev);
     if (!ev.functional) functional = false;
-    OpAmpDesign ad = design_from_vars(proc, v, aspec);
     if (proto.spec.kind == ModuleKind::FlashAdc) {
       for (auto& amp : d.opamps) amp = ad;
     } else {

@@ -20,13 +20,13 @@ constexpr double kTwoPi = 2.0 * M_PI;
 constexpr double kVtail = 0.3;
 
 /// Gate voltage of a diode-connected device conducting \p id
-/// (NMOS-normalized). Bisection on the model card.
+/// (NMOS-normalized). Bisection on the model card's current alone.
 double diode_vgs(const spice::MosModelCard& card, double w, double l, double id,
                  double vbs = 0.0) {
   double lo = 0.0, hi = 12.0;
   for (int i = 0; i < 60; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (spice::mos_eval(card, mid, mid, vbs, w, l).ids < id) {
+    if (spice::mos_ids(card, mid, mid, vbs, w, l) < id) {
       lo = mid;
     } else {
       hi = mid;
@@ -41,7 +41,7 @@ double vgs_at(const spice::MosModelCard& card, double w, double l, double id,
   double lo = 0.0, hi = 12.0;
   for (int i = 0; i < 60; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (spice::mos_eval(card, mid, vds, vbs, w, l).ids < id) {
+    if (spice::mos_ids(card, mid, vds, vbs, w, l) < id) {
       lo = mid;
     } else {
       hi = mid;
@@ -73,7 +73,10 @@ TransistorDesign make_design(MosType type, double w, double l, const MosEval& e,
   return t;
 }
 
-/// Everything the evaluation solves; reused by design_from_vars.
+/// Everything the evaluation solves; reused by design_from_vars. The root
+/// finders probe currents with `mos_ids`; the full `mos_eval` runs only at
+/// the final bias point of each device (the e* fields), which is all that
+/// the performance composition and the design read.
 struct BiasSolution {
   bool functional = false;
   double imbalance = 0.0;
@@ -118,10 +121,10 @@ BiasSolution solve_bias(const Process& proc, const OpAmpVars& v, double ibias) {
   // conduct the same current. No crossing inside the rails means the
   // output is stuck - the classic blind-search failure.
   auto i6_at = [&](double out2) {
-    return spice::mos_eval(pp, b.vgs3, vdd - out2, 0.0, v.w6, v.l6).ids;
+    return spice::mos_ids(pp, b.vgs3, vdd - out2, 0.0, v.w6, v.l6);
   };
   auto i7_at = [&](double out2) {
-    return spice::mos_eval(nn, b.vgs8, out2, 0.0, v.w7, v.l7).ids;
+    return spice::mos_ids(nn, b.vgs8, out2, 0.0, v.w7, v.l7);
   };
   double lo = 0.05, hi = vdd - 0.05;
   const double f_lo = i6_at(lo) - i7_at(lo);
@@ -161,18 +164,21 @@ BiasSolution solve_bias(const Process& proc, const OpAmpVars& v, double ibias) {
   b.out_dc = b.out2;
   if (v.buffered()) {
     const double l9 = 2.0 * proc.lmin;
-    // Iterate the follower level: i10 depends on out, vgs9 on i10.
+    // Iterate the follower level: i10 depends on out, vgs9 on i10. M10 is
+    // fully evaluated once, at the level of the last iteration.
     double out = b.out2 - 1.2;
+    double vds10 = 0.0;
     for (int it = 0; it < 8; ++it) {
-      b.e10 = spice::mos_eval(nn, b.vgs8, std::max(out, 0.05), 0.0, v.w10, l9);
-      b.i9 = b.e10.ids;
-      if (b.i9 <= 0.0) {
-        b.imbalance = 0.7;
-        return b;
-      }
-      b.vgs9 = vgs_at(nn, v.w9, l9, b.i9, vdd - std::max(out, 0.05),
-                      -std::max(out, 0.05));
+      vds10 = std::max(out, 0.05);
+      b.i9 = spice::mos_ids(nn, b.vgs8, vds10, 0.0, v.w10, l9);
+      if (b.i9 <= 0.0) break;
+      b.vgs9 = vgs_at(nn, v.w9, l9, b.i9, vdd - vds10, -vds10);
       out = b.out2 - b.vgs9;
+    }
+    b.e10 = spice::mos_eval(nn, b.vgs8, vds10, 0.0, v.w10, l9);
+    if (b.i9 <= 0.0) {
+      b.imbalance = 0.7;
+      return b;
     }
     if (out < 0.1) {
       b.imbalance = 0.6;
@@ -184,6 +190,50 @@ BiasSolution solve_bias(const Process& proc, const OpAmpVars& v, double ibias) {
 
   b.functional = true;
   return b;
+}
+
+/// Small-signal performance composition at a solved bias point.
+OpAmpEval compose(const Process& proc, const OpAmpVars& v, const BiasSolution& b,
+                  double ibias, double cload) {
+  OpAmpEval e;
+  e.imbalance = b.imbalance;
+  if (!b.functional) return e;
+
+  e.functional = true;
+  e.itail = b.itail;
+  const double a1 = b.e1.gm / std::max(b.e1.gds + b.e4.gds, 1e-15);
+  const double a2 = b.e6.gm / std::max(b.e6.gds + b.e7.gds, 1e-15);
+  double ab = 1.0;
+  if (v.buffered()) {
+    ab = b.e9.gm / std::max(b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds, 1e-15);
+  }
+  e.gain = a1 * a2 * ab;
+  const double cl2 = v.buffered() ? 2e-12 : cload;
+  const double fp2 = b.e6.gm / (kTwoPi * (cl2 + b.e6.cdb + b.e7.cdb));
+  const double fpb =
+      v.buffered()
+          ? (b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds) / (kTwoPi * cload)
+          : 1e18;
+  // UGF with the M6 Miller overlap added to Cc and the second-pole and
+  // buffer-pole magnitude droops folded in.
+  const double u0 = b.e1.gm / (kTwoPi * (v.cc + b.e6.cgd));
+  double fu = u0;
+  for (int i = 0; i < 4; ++i) {
+    fu = u0 / std::sqrt((1.0 + (fu / fp2) * (fu / fp2)) *
+                        (1.0 + (fu / fpb) * (fu / fpb)));
+  }
+  e.ugf_hz = fu;
+  e.phase_margin = 90.0 - std::atan(e.ugf_hz / fp2) * 180.0 / M_PI;
+  e.gate_area = 2.0 * v.w1 * v.l1 + 2.0 * v.w3 * v.l3 + v.w5 * v.l5 +
+                v.w6 * v.l6 + v.w7 * v.l7 + v.w8 * v.l8;
+  if (v.buffered()) e.gate_area += (v.w9 + v.w10) * 2.0 * proc.lmin;
+  e.dc_power = proc.vdd * (ibias + b.itail + b.i6 + b.i9);
+  e.slew = std::min(b.itail / v.cc, b.i6 / (cl2 + v.cc));
+  if (v.buffered() && b.i9 > 0.0) e.slew = std::min(e.slew, b.i9 / cload);
+  e.zout = v.buffered()
+               ? 1.0 / std::max(b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds, 1e-15)
+               : 1.0 / std::max(b.e6.gds + b.e7.gds, 1e-15);
+  return e;
 }
 
 }  // namespace
@@ -234,46 +284,7 @@ std::vector<std::string> OpAmpVars::names(bool buffered) {
 
 OpAmpEval evaluate_opamp_vars(const Process& proc, const OpAmpVars& v,
                               double ibias, double cload) {
-  OpAmpEval e;
-  const BiasSolution b = solve_bias(proc, v, ibias);
-  e.imbalance = b.imbalance;
-  if (!b.functional) return e;
-
-  e.functional = true;
-  e.itail = b.itail;
-  const double a1 = b.e1.gm / std::max(b.e1.gds + b.e4.gds, 1e-15);
-  const double a2 = b.e6.gm / std::max(b.e6.gds + b.e7.gds, 1e-15);
-  double ab = 1.0;
-  if (v.buffered()) {
-    ab = b.e9.gm / std::max(b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds, 1e-15);
-  }
-  e.gain = a1 * a2 * ab;
-  const double cl2 = v.buffered() ? 2e-12 : cload;
-  const double fp2 = b.e6.gm / (kTwoPi * (cl2 + b.e6.cdb + b.e7.cdb));
-  const double fpb =
-      v.buffered()
-          ? (b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds) / (kTwoPi * cload)
-          : 1e18;
-  // UGF with the M6 Miller overlap added to Cc and the second-pole and
-  // buffer-pole magnitude droops folded in.
-  const double u0 = b.e1.gm / (kTwoPi * (v.cc + b.e6.cgd));
-  double fu = u0;
-  for (int i = 0; i < 4; ++i) {
-    fu = u0 / std::sqrt((1.0 + (fu / fp2) * (fu / fp2)) *
-                        (1.0 + (fu / fpb) * (fu / fpb)));
-  }
-  e.ugf_hz = fu;
-  e.phase_margin = 90.0 - std::atan(e.ugf_hz / fp2) * 180.0 / M_PI;
-  e.gate_area = 2.0 * v.w1 * v.l1 + 2.0 * v.w3 * v.l3 + v.w5 * v.l5 +
-                v.w6 * v.l6 + v.w7 * v.l7 + v.w8 * v.l8;
-  if (v.buffered()) e.gate_area += (v.w9 + v.w10) * 2.0 * proc.lmin;
-  e.dc_power = proc.vdd * (ibias + b.itail + b.i6 + b.i9);
-  e.slew = std::min(b.itail / v.cc, b.i6 / (cl2 + v.cc));
-  if (v.buffered() && b.i9 > 0.0) e.slew = std::min(e.slew, b.i9 / cload);
-  e.zout = v.buffered()
-               ? 1.0 / std::max(b.e9.gm + b.e9.gmb + b.e9.gds + b.e10.gds, 1e-15)
-               : 1.0 / std::max(b.e6.gds + b.e7.gds, 1e-15);
-  return e;
+  return compose(proc, v, solve_bias(proc, v, ibias), ibias, cload);
 }
 
 double opamp_cost(const OpAmpEval& e, const OpAmpSpec& spec) {
@@ -382,7 +393,7 @@ OpAmpVars vars_from_design(const OpAmpDesign& d) {
 }
 
 OpAmpDesign design_from_vars(const Process& proc, const OpAmpVars& v,
-                             const OpAmpSpec& spec) {
+                             const OpAmpSpec& spec, OpAmpEval* eval) {
   const BiasSolution b = solve_bias(proc, v, spec.ibias);
   const double vdd = proc.vdd;
   const double l8 = v.l8;
@@ -419,7 +430,8 @@ OpAmpDesign design_from_vars(const Process& proc, const OpAmpVars& v,
     d.roles.push_back("m10");
   }
 
-  const OpAmpEval e = evaluate_opamp_vars(proc, v, spec.ibias, spec.cload);
+  const OpAmpEval e = compose(proc, v, b, spec.ibias, spec.cload);
+  if (eval != nullptr) *eval = e;
   d.perf.gain = e.gain;
   d.perf.ugf_hz = e.ugf_hz;
   d.perf.phase_margin = e.phase_margin;

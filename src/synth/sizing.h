@@ -78,7 +78,11 @@ OpAmpVars vars_from_design(const est::OpAmpDesign& d);
 
 /// Materialize a full OpAmpDesign (for netlisting / SPICE verification)
 /// from a candidate point; perf fields come from the analytic evaluation.
+/// The bias is solved once; when \p eval is non-null it receives the
+/// evaluation built from that solution, equal to
+/// `evaluate_opamp_vars(proc, v, spec.ibias, spec.cload)`.
 est::OpAmpDesign design_from_vars(const est::Process& proc, const OpAmpVars& v,
-                                  const est::OpAmpSpec& spec);
+                                  const est::OpAmpSpec& spec,
+                                  OpAmpEval* eval = nullptr);
 
 }  // namespace ape::synth

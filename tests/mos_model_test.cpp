@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/util/error.h"
 #include "tests/test_models.h"
@@ -179,8 +183,15 @@ TEST(MosModel, Level2MobilityDegradation) {
 }
 
 TEST(MosModel, ThrowsOnNonPositiveGeometry) {
-  EXPECT_THROW(mos_eval(nmos_card(), 2.0, 3.0, 0.0, 0.0, kL), NumericError);
-  EXPECT_THROW(mos_eval(nmos_card(), 2.0, 3.0, 0.0, kW, -1e-6), NumericError);
+  // Every entry point, both device types.
+  for (const MosModelCard& m : {nmos_card(), pmos_card()}) {
+    for (const auto& [w, l] : {std::pair{0.0, kL}, std::pair{kW, -1e-6}}) {
+      EXPECT_THROW(mos_ids(m, 2.0, 3.0, 0.0, w, l), NumericError);
+      EXPECT_THROW(mos_conductance(m, 2.0, 3.0, 0.0, w, l), NumericError);
+      EXPECT_THROW(mos_eval(m, 2.0, 3.0, 0.0, w, l), NumericError);
+      EXPECT_THROW(mos_eval_signed(m, 2.0, 3.0, 0.0, w, l), NumericError);
+    }
+  }
 }
 
 TEST(MosModel, KpDerivedFromMobilityWhenAbsent) {
@@ -192,6 +203,95 @@ TEST(MosModel, KpDerivedFromMobilityWhenAbsent) {
   auto m2 = nmos_card();
   const auto want = mos_eval(m2, 2.0, 3.0, 0.0, kW, kL);
   EXPECT_NEAR(e.ids, want.ids, want.ids * 1e-6);
+}
+
+/// One card per model level and device type, with every level-specific
+/// term switched on so that each branch of the current equation runs.
+std::vector<MosModelCard> cards_of_every_level() {
+  std::vector<MosModelCard> cards;
+  for (const MosModelCard& base : {nmos_card(), pmos_card()}) {
+    MosModelCard l1 = base;
+    cards.push_back(l1);
+    MosModelCard l2 = base;
+    l2.level = 2;
+    l2.uexp = 0.3;
+    l2.ucrit = 1e4;
+    l2.vmax = 5e4;
+    cards.push_back(l2);
+    MosModelCard l3 = base;
+    l3.level = 3;
+    l3.theta = 0.2;
+    l3.eta = 0.5;
+    l3.vmax = 5e4;
+    cards.push_back(l3);
+    MosModelCard l4 = base;
+    l4.level = 4;
+    l4.k1 = base.gamma;
+    l4.k2 = 0.02;
+    l4.eta = 0.01;
+    // The NMOS-frame flat band, stored with the card's own sign.
+    const double vfb = std::fabs(base.vto) - base.phi - l4.k1 * std::sqrt(base.phi);
+    l4.vfb = base.type == MosType::Pmos ? -vfb : vfb;
+    l4.muz = 600.0;
+    l4.u0v = 0.05;
+    l4.u1 = 2e-8;
+    cards.push_back(l4);
+  }
+  return cards;
+}
+
+struct Bias {
+  double vgs, vds, vbs;
+};
+
+/// Cutoff, triode and saturation, both vds signs (source/drain swap) and
+/// reverse body bias, in the NMOS-normalized frame.
+std::vector<Bias> bias_grid() {
+  std::vector<Bias> grid;
+  for (double vgs : {0.2, 1.1, 2.0, 4.0}) {
+    for (double vds : {-1.5, -0.2, 0.0, 0.1, 0.6, 3.0}) {
+      for (double vbs : {0.0, -1.0, -2.5}) grid.push_back({vgs, vds, vbs});
+    }
+  }
+  return grid;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(MosModel, IdsEntryPointMatchesFullEvalBitForBit) {
+  int regions_seen[3] = {0, 0, 0};
+  for (const MosModelCard& m : cards_of_every_level()) {
+    for (const Bias& b : bias_grid()) {
+      const MosEval full = mos_eval(m, b.vgs, b.vds, b.vbs, kW, kL);
+      EXPECT_EQ(bits(mos_ids(m, b.vgs, b.vds, b.vbs, kW, kL)), bits(full.ids))
+          << "level " << m.level << " vgs " << b.vgs << " vds " << b.vds
+          << " vbs " << b.vbs;
+      ++regions_seen[static_cast<int>(full.region)];
+    }
+  }
+  // The grid must reach every region, or the check above proves less.
+  for (int n : regions_seen) EXPECT_GT(n, 0);
+}
+
+TEST(MosModel, ConductanceEntryPointMatchesFullEvalBitForBit) {
+  const double ad = 3.0 * kL * kW, pd = 2.0 * (3.0 * kL + kW);
+  for (const MosModelCard& m : cards_of_every_level()) {
+    for (const Bias& b : bias_grid()) {
+      const MosEval full =
+          mos_eval(m, b.vgs, b.vds, b.vbs, kW, kL, ad, ad, pd, pd);
+      const MosConductance c = mos_conductance(m, b.vgs, b.vds, b.vbs, kW, kL);
+      SCOPED_TRACE(testing::Message() << "level " << m.level << " vgs "
+                                      << b.vgs << " vds " << b.vds << " vbs "
+                                      << b.vbs);
+      EXPECT_EQ(bits(c.ids), bits(full.ids));
+      EXPECT_EQ(bits(c.gm), bits(full.gm));
+      EXPECT_EQ(bits(c.gds), bits(full.gds));
+      EXPECT_EQ(bits(c.gmb), bits(full.gmb));
+      EXPECT_EQ(bits(c.vth), bits(full.vth));
+      EXPECT_EQ(bits(c.vdsat), bits(full.vdsat));
+      EXPECT_EQ(c.region, full.region);
+    }
+  }
 }
 
 }  // namespace

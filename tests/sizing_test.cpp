@@ -163,6 +163,38 @@ TEST(Sizing, DesignFromVarsRoundTripsThroughVars) {
   }
 }
 
+TEST(Sizing, DesignFromVarsReturnsTheEvaluationOfItsBiasSolution) {
+  // The evaluation handed back by design_from_vars must be exactly what
+  // evaluate_opamp_vars computes, functional or not, buffered or not.
+  const Process proc = Process::default_1u2();
+  for (const bool buffered : {false, true}) {
+    OpAmpSpec spec = basic_spec();
+    spec.buffer = buffered;
+    spec.zout = buffered ? 10e3 : 0.0;
+    const OpAmpVars seed = vars_from_design(OpAmpEstimator(proc).estimate(spec));
+    OpAmpVars stuck = seed;
+    stuck.w7 *= 50.0;  // the sink outpulls M6: output stuck at a rail
+    for (const OpAmpVars& v : {seed, stuck}) {
+      OpAmpEval got;
+      const OpAmpDesign d = design_from_vars(proc, v, spec, &got);
+      const OpAmpEval want = evaluate_opamp_vars(proc, v, spec.ibias, spec.cload);
+      EXPECT_EQ(got.functional, want.functional);
+      EXPECT_EQ(got.gain, want.gain);
+      EXPECT_EQ(got.ugf_hz, want.ugf_hz);
+      EXPECT_EQ(got.phase_margin, want.phase_margin);
+      EXPECT_EQ(got.gate_area, want.gate_area);
+      EXPECT_EQ(got.dc_power, want.dc_power);
+      EXPECT_EQ(got.slew, want.slew);
+      EXPECT_EQ(got.zout, want.zout);
+      EXPECT_EQ(got.itail, want.itail);
+      EXPECT_EQ(got.imbalance, want.imbalance);
+      EXPECT_EQ(d.perf.gain, want.gain);
+    }
+    EXPECT_TRUE(evaluate_opamp_vars(proc, seed, spec.ibias, spec.cload).functional);
+    EXPECT_FALSE(evaluate_opamp_vars(proc, stuck, spec.ibias, spec.cload).functional);
+  }
+}
+
 TEST(Sizing, VarsFromNonOpAmpDesignThrows) {
   OpAmpDesign empty;
   EXPECT_THROW(vars_from_design(empty), SpecError);
