@@ -8,7 +8,7 @@
 ///   ape_batch                           # built-in Table-1 spec set
 ///   ape_batch --threads 8 specs.txt     # pooled synthesis batch
 ///   ape_batch --estimate-only specs.txt # APE estimates only (no anneal)
-///   ape_batch --timeout-ms 500 --retries 2 specs.txt   # supervised run
+///   ape_batch --timeout-ms 500 --recover specs.txt     # supervised run
 ///   ape_batch --checkpoint run.ckpt specs.txt          # checkpointed run
 ///   ape_batch --resume run.ckpt --checkpoint run.ckpt specs.txt
 ///   ape_batch --corners all --mc-samples 64 --yield    # PVT + MC yield
@@ -16,7 +16,7 @@
 /// Corner sweeps (DESIGN.md §12): any of --corners/--mc-samples/--yield
 /// switches to sweep mode — each spec's nominal design (the APE
 /// estimate by default; --synthesize for a full supervised synthesis
-/// pass, which also honours --timeout-ms/--retries/--checkpoint/
+/// pass, which also honours --timeout-ms/--recover/--checkpoint/
 /// --resume) is evaluated across the selected PVT corners and, with
 /// --mc-samples N, across N Pelgrom mismatch draws per corner, and the
 /// per-job + pooled YieldReports (pass rates, worst corner, Wilson CI)
@@ -24,11 +24,12 @@
 /// annealer in any synthesis mode.
 ///
 /// Synthesis batches run under the supervised runtime (DESIGN.md §10):
-/// --timeout-ms bounds each job's wall clock, --retries configures the
-/// recovery ladder (N plain retries + 1 relaxed-tolerance retry + the
-/// APE estimate-only fallback), --quarantine N trips the circuit breaker
-/// after N consecutive failures of the same spec fingerprint, and
-/// --checkpoint/--resume persist and restore finished jobs bit-exactly.
+/// --timeout-ms bounds each job's wall clock, --recover arms the
+/// recovery ladder (a forced numerical-health re-run, a relaxed-tolerance
+/// re-run, then the APE estimate-only fallback), --quarantine N trips
+/// the circuit breaker after N consecutive failures of the same spec
+/// fingerprint, and --checkpoint/--resume persist and restore finished
+/// jobs bit-exactly.
 ///
 /// Spec file grammar (one spec per line, '#' starts a comment):
 ///
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
   std::string spec_path;
   std::string out_path;
   double timeout_ms = 0.0;
-  int retries = 0;
+  bool recover = false;
   int quarantine_threshold = 0;  // 0 = quarantine disabled
   std::string checkpoint_path;
   int checkpoint_every = 1;
@@ -224,8 +225,8 @@ int main(int argc, char** argv) {
       estimate_only = true;
     } else if (arg == "--timeout-ms") {
       timeout_ms = std::atof(next().c_str());
-    } else if (arg == "--retries") {
-      retries = std::atoi(next().c_str());
+    } else if (arg == "--recover") {
+      recover = true;
     } else if (arg == "--quarantine") {
       quarantine_threshold = std::atoi(next().c_str());
     } else if (arg == "--checkpoint") {
@@ -250,7 +251,7 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: ape_batch [--threads N] [--seed S] [--iters N]\n"
           "                 [--restarts M] [--blind] [--estimate-only]\n"
-          "                 [--timeout-ms T] [--retries N] [--quarantine N]\n"
+          "                 [--timeout-ms T] [--recover] [--quarantine N]\n"
           "                 [--checkpoint FILE] [--checkpoint-every N]\n"
           "                 [--resume FILE]\n"
           "                 [--corners all|tm,ws,...] [--mc-samples N]\n"
@@ -304,12 +305,7 @@ int main(int argc, char** argv) {
     runtime::SweepOptions sw;
     sw.supervisor.batch = options;
     sw.supervisor.job_timeout_s = timeout_ms / 1000.0;
-    if (retries > 0) {
-      sw.supervisor.retry.plain_retries = retries;
-      sw.supervisor.retry.numeric_recovery_retries = 1;
-      sw.supervisor.retry.relaxed_retries = 1;
-      sw.supervisor.retry.estimate_fallback = true;
-    }
+    sw.supervisor.recover = recover;
     runtime::QuarantineRegistry sweep_quarantine;
     if (quarantine_threshold > 0) {
       sw.supervisor.quarantine = &sweep_quarantine;
@@ -437,12 +433,7 @@ int main(int argc, char** argv) {
     runtime::SupervisorOptions sup;
     sup.batch = options;
     sup.job_timeout_s = timeout_ms / 1000.0;
-    if (retries > 0) {
-      sup.retry.plain_retries = retries;
-      sup.retry.numeric_recovery_retries = 1;
-      sup.retry.relaxed_retries = 1;
-      sup.retry.estimate_fallback = true;
-    }
+    sup.recover = recover;
     runtime::QuarantineRegistry quarantine;
     if (quarantine_threshold > 0) {
       sup.quarantine = &quarantine;

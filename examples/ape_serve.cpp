@@ -5,6 +5,10 @@
 ///
 ///   ape_serve --socket /tmp/ape.sock --max-in-flight 2 --queue 4
 ///
+/// Every synthesize request runs under the supervisor's fixed recovery
+/// ladder (forced numerical-health recovery, then relaxed tolerances,
+/// then the APE estimate-only fallback; DESIGN.md section 10).
+///
 /// SIGTERM starts the drain: the listener closes, in-flight requests get
 /// drain_grace_s to finish (each one is answered — completed, degraded
 /// or shed "draining"), the stats flush to stderr and the process exits
@@ -54,8 +58,6 @@ int main(int argc, char** argv) {
       options.cache_capacity = static_cast<size_t>(std::atol(next().c_str()));
     } else if (arg == "--iters") {
       options.synth_iterations = std::atoi(next().c_str());
-    } else if (arg == "--retries") {
-      options.retries = std::atoi(next().c_str());
     } else if (arg == "--quarantine") {
       options.quarantine_threshold = std::atoi(next().c_str());
     } else if (arg == "--seed") {
@@ -65,8 +67,8 @@ int main(int argc, char** argv) {
           "usage: ape_serve --socket PATH [--max-in-flight N] [--queue N]\n"
           "                 [--max-connections N] [--quota N]\n"
           "                 [--max-deadline-s S] [--drain-grace-s S]\n"
-          "                 [--cache N] [--iters N] [--retries N]\n"
-          "                 [--quarantine N] [--seed S]\n");
+          "                 [--cache N] [--iters N] [--quarantine N]\n"
+          "                 [--seed S]\n");
       return 0;
     } else {
       die("unknown option '" + arg + "' (see --help)");

@@ -1,9 +1,7 @@
 #include "src/runtime/batch.h"
 
-#include <chrono>
 #include <future>
 #include <mutex>
-#include <thread>
 
 #include "src/lint/lint.h"
 #include "src/lint/prove.h"
@@ -15,17 +13,10 @@
 namespace ape::runtime {
 namespace {
 
-/// BatchOptions::lint_first gate; throws lint::LintError on a dirty spec.
-template <class Spec>
-void lint_gate(bool enabled, const est::Process& proc, const Spec& spec) {
-  if (!enabled) return;
-  lint::require_clean(lint::lint_spec(spec, proc), "lint-first");
-}
-
 /// Feasibility half of the lint-first gate (APE-F, src/lint/prove.h):
 /// prove the spec reachable over the sizing box before any solve.
 /// Throws LintError — ErrorClass::Permanent, so the supervision ladder
-/// skips every retry rung and goes straight to the estimate fallback,
+/// skips every recovery rung and goes straight to the estimate fallback,
 /// and the quarantine registry is never involved. Contraction is only
 /// worth its ~100 extra interval evaluations when the proof artifacts
 /// feed a synthesis run; the estimate-only gates pass contract=false.
@@ -36,18 +27,6 @@ lint::FeasibilityProof prove_gate(const est::Process& proc,
   lint::FeasibilityProof proof = lint::prove_opamp_feasibility(proc, spec, po);
   lint::require_feasible(proof, "lint-first");
   return proof;
-}
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 1;
 }
 
 /// Run \p job(i) for every i in [0, n) on a pool of \p threads workers
@@ -129,6 +108,16 @@ void finish_stats(BatchResult& out, int threads, double t0,
 }  // namespace
 
 namespace detail {
+
+void lint_gate(bool enabled, const est::Process& proc,
+               const est::OpAmpSpec& spec) {
+  if (enabled) lint::require_clean(lint::lint_spec(spec, proc), "lint-first");
+}
+
+void lint_gate(bool enabled, const est::Process& proc,
+               const est::ModuleSpec& spec) {
+  if (enabled) lint::require_clean(lint::lint_spec(spec, proc), "lint-first");
+}
 
 synth::SynthesisOutcome run_one_opamp(const est::Process& proc,
                                       const est::OpAmpSpec& spec, size_t index,
@@ -230,7 +219,7 @@ OpAmpEstimateBatchResult estimate_opamp_batch(
   OpAmpEstimateBatchResult out;
   fan_out(specs.size(), threads, "opamp_estimate", out.jobs,
           out.stats.kernel, [&](size_t i) {
-    lint_gate(options.lint_first, proc, specs[i]);
+    detail::lint_gate(options.lint_first, proc, specs[i]);
     if (options.lint_first) prove_gate(proc, specs[i], /*contract=*/false);
     if (options.cache != nullptr) return options.cache->opamp(proc, specs[i]);
     return std::make_shared<const est::OpAmpDesign>(
@@ -251,7 +240,7 @@ ModuleEstimateBatchResult estimate_module_batch(
   ModuleEstimateBatchResult out;
   fan_out(specs.size(), threads, "module_estimate", out.jobs,
           out.stats.kernel, [&](size_t i) {
-    lint_gate(options.lint_first, proc, specs[i]);
+    detail::lint_gate(options.lint_first, proc, specs[i]);
     if (options.cache != nullptr) return options.cache->module(proc, specs[i]);
     return std::make_shared<const est::ModuleDesign>(
         est::ModuleEstimator(proc).estimate(specs[i]));

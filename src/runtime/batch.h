@@ -49,7 +49,7 @@ struct BatchOptions {
   /// sizing box (lint::prove_opamp_feasibility, DESIGN.md section 14).
   /// A spec with lint errors — or a proven-infeasible one (APE-F001) —
   /// fails its job with a Permanent LintError before any synthesis
-  /// budget is spent: the supervision ladder skips every retry rung and
+  /// budget is spent: the supervision ladder skips every recovery rung and
   /// goes straight to the estimate fallback, and quarantine is
   /// untouched. For feasible opamp jobs the proof's contracted box and
   /// cost floor are handed to the annealer (SynthesisOptions).
@@ -130,10 +130,17 @@ ModuleEstimateBatchResult estimate_module_batch(
 
 namespace detail {
 
+/// The lint half of BatchOptions::lint_first: no-op unless \p enabled,
+/// else throws lint::LintError (Permanent) on a spec with lint errors.
+void lint_gate(bool enabled, const est::Process& proc,
+               const est::OpAmpSpec& spec);
+void lint_gate(bool enabled, const est::Process& proc,
+               const est::ModuleSpec& spec);
+
 /// The body of one opamp batch job (lint gate, per-job seed derivation,
 /// cached APE-seed resolution, synthesis) without the fan-out / error
 /// capture around it. Exposed so the supervised runtime (supervisor.h)
-/// re-runs exactly the same job under its retry ladder: a supervised
+/// re-runs exactly the same job under its recovery ladder: a supervised
 /// attempt and an unsupervised job are byte-for-byte the same work.
 synth::SynthesisOutcome run_one_opamp(const est::Process& proc,
                                       const est::OpAmpSpec& spec, size_t index,

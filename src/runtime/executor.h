@@ -32,15 +32,20 @@
 
 namespace ape::runtime {
 
+/// A requested worker count as a pool size: 0 (or less) picks the
+/// hardware concurrency, at least 1.
+inline int resolve_threads(int requested) {
+  if (requested > 0) return requested;
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  return hw > 0 ? hw : 1;
+}
+
 class Executor {
 public:
   /// Create a pool of \p threads workers; 0 picks the hardware
   /// concurrency (at least 1).
   explicit Executor(int threads = 0) {
-    if (threads <= 0) {
-      threads = static_cast<int>(std::thread::hardware_concurrency());
-      if (threads <= 0) threads = 1;
-    }
+    threads = resolve_threads(threads);
     workers_.reserve(static_cast<size_t>(threads));
     for (int i = 0; i < threads; ++i) {
       workers_.emplace_back([this] { worker_loop(); });

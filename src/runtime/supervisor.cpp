@@ -1,15 +1,12 @@
 #include "src/runtime/supervisor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "src/lint/lint.h"
 #include "src/runtime/executor.h"
@@ -18,18 +15,6 @@
 
 namespace ape::runtime {
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 1;
-}
 
 uint64_t fnv1a(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;
@@ -46,8 +31,6 @@ void merge(SupervisionStats& into, const SupervisionStats& from) {
   into.numeric_recovery_attempts += from.numeric_recovery_attempts;
   into.relaxed_attempts += from.relaxed_attempts;
   into.estimate_fallbacks += from.estimate_fallbacks;
-  into.backoff_waits += from.backoff_waits;
-  into.backoff_seconds += from.backoff_seconds;
   into.deadline_hits += from.deadline_hits;
   into.cancelled_jobs += from.cancelled_jobs;
   into.quarantine_skips += from.quarantine_skips;
@@ -56,19 +39,17 @@ void merge(SupervisionStats& into, const SupervisionStats& from) {
   into.resumed_jobs += from.resumed_jobs;
 }
 
+/// The tolerances of the Relaxed rung (installed by reference, so it
+/// must outlive every attempt).
+const SolverRelaxation kRelaxation{};
+
 RetryRung rung_from_string(const std::string& s) {
-  for (RetryRung r : {RetryRung::Initial, RetryRung::Retry,
-                      RetryRung::NumericRecovery, RetryRung::Relaxed,
-                      RetryRung::EstimateOnly, RetryRung::Fail}) {
+  for (RetryRung r : {RetryRung::Initial, RetryRung::NumericRecovery,
+                      RetryRung::Relaxed, RetryRung::EstimateOnly,
+                      RetryRung::Fail}) {
     if (s == to_string(r)) return r;
   }
   throw ParseError("checkpoint: unknown retry rung '" + s + "'");
-}
-
-template <class Spec>
-void lint_gate(bool enabled, const est::Process& proc, const Spec& spec) {
-  if (!enabled) return;
-  lint::require_clean(lint::lint_spec(spec, proc), "lint-first");
 }
 
 /// The EstimateOnly rung for an opamp job: the bare APE estimate wrapped
@@ -77,7 +58,7 @@ void lint_gate(bool enabled, const est::Process& proc, const Spec& spec) {
 synth::SynthesisOutcome estimate_only_opamp(const est::Process& proc,
                                             const est::OpAmpSpec& spec,
                                             const BatchOptions& options) {
-  lint_gate(options.lint_first, proc, spec);
+  detail::lint_gate(options.lint_first, proc, spec);
   synth::SynthesisOutcome out;
   if (options.cache != nullptr) {
     out.design = *options.cache->opamp(proc, spec);
@@ -93,7 +74,7 @@ synth::SynthesisOutcome estimate_only_opamp(const est::Process& proc,
 synth::ModuleSynthesisOutcome estimate_only_module(const est::Process& proc,
                                                   const est::ModuleSpec& spec,
                                                   const BatchOptions& options) {
-  lint_gate(options.lint_first, proc, spec);
+  detail::lint_gate(options.lint_first, proc, spec);
   synth::ModuleSynthesisOutcome out;
   if (options.cache != nullptr) {
     out.design = *options.cache->module(proc, spec);
@@ -118,7 +99,6 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
                                            const EstimateOnly& estimate_only) {
   SupervisedJobResult<Outcome> r;
   r.index = index;
-  const RetryPolicy& policy = options.retry;
 
   if (options.quarantine != nullptr) {
     std::string why;
@@ -141,7 +121,6 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
 
   Outcome best{};
   bool have_best = false;
-  int attempt = 0;
   RetryRung rung = RetryRung::Initial;
   std::string last_error;
 
@@ -178,15 +157,6 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
       ++stats.quarantined_new;
     }
   };
-  auto escalate = [&](ErrorClass klass) {
-    rung = policy.next_rung(klass, attempt);
-    // A permanent failure jumps straight to the estimate fallback; the
-    // attempt ordinal must jump with it, so a *failing* estimate then
-    // maps to Fail instead of re-entering the EstimateOnly rung.
-    attempt = rung == RetryRung::EstimateOnly
-                  ? std::max(policy.estimate_attempt(), attempt + 1)
-                  : attempt + 1;
-  };
 
   for (;;) {
     if (budget.cancelled()) {
@@ -199,27 +169,21 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
     }
     if (rung == RetryRung::Fail) break;
 
-    if (attempt > 0) {
-      double wait = policy.backoff_s(index, attempt);
-      wait = std::min(wait, std::max(budget.seconds_left(), 0.0));
-      if (wait > 0.0 && std::isfinite(wait)) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(wait));
-        ++stats.backoff_waits;
-        stats.backoff_seconds += wait;
-      }
-    }
-
+    // The ladder position doubles as the attempt ordinal: one attempt
+    // per rung, and a permanent failure's jump to EstimateOnly skips
+    // the ordinals of the rungs it skips.
+    const int attempt = static_cast<int>(rung);
     r.final_rung = rung;
     ++r.attempts;
     ++stats.attempts;
-    if (attempt > 0) ++stats.retries;
+    if (r.attempts > 1) ++stats.retries;
     if (rung == RetryRung::Relaxed) ++stats.relaxed_attempts;
     if (rung == RetryRung::NumericRecovery) ++stats.numeric_recovery_attempts;
 
     ErrorContext attempt_scope("attempt[" + std::to_string(attempt) + "](" +
                                to_string(rung) + ")");
     std::optional<ScopedSolverRelaxation> relax;
-    if (rung == RetryRung::Relaxed) relax.emplace(policy.relaxation);
+    if (rung == RetryRung::Relaxed) relax.emplace(kRelaxation);
     // The numeric-recovery rung re-runs the attempt with the health
     // layer forced on: every solve equilibrates, estimates its condition
     // and refines (DESIGN.md section 15).
@@ -259,20 +223,19 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
         ++stats.deadline_hits;
         return r;
       }
-      if (out.sim_failed && policy.retry_sim_failures) {
+      if (out.sim_failed) {
         // Synthesis finished but the simulator verification threw —
-        // usually transient non-convergence the Relaxed rung can clear.
-        // Keep the outcome: if the ladder runs dry, best-so-far beats an
-        // empty failure, and the EstimateOnly rung would *discard* a
-        // synthesized design for a bare estimate, so stop before it.
+        // usually non-convergence the NumericRecovery or Relaxed rung can
+        // clear. Keep the outcome: if the ladder runs dry, best-so-far
+        // beats an empty failure, and the EstimateOnly rung would
+        // *discard* a synthesized design for a bare estimate, so stop
+        // before it.
         best = std::move(out);
         have_best = true;
         record_attempt_failure(annotate_with_context(
             "simulator verification failed (best-so-far outcome kept)"));
-        const RetryRung next = policy.next_rung(ErrorClass::Transient, attempt);
-        ++attempt;
-        if (next == RetryRung::EstimateOnly || next == RetryRung::Fail) break;
-        rung = next;
+        rung = next_rung(rung, ErrorClass::Transient, options.recover);
+        if (rung == RetryRung::EstimateOnly || rung == RetryRung::Fail) break;
         continue;
       }
       r.outcome = std::move(out);
@@ -290,7 +253,8 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
         deadline_result();
         return r;
       }
-      escalate(e.klass());  // Permanent: straight to the estimate fallback
+      // Permanent: straight to the estimate fallback when armed.
+      rung = next_rung(rung, e.klass(), options.recover);
     } catch (const Error& e) {
       if (budget.cancelled()) {
         cancelled_result();
@@ -301,7 +265,7 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
         deadline_result();
         return r;
       }
-      escalate(e.klass());
+      rung = next_rung(rung, e.klass(), options.recover);
     } catch (const std::exception& e) {
       // Non-ape exceptions carry no taxonomy; treat them as transient
       // (same safe default as the MemoCache negative-caching policy).
@@ -310,7 +274,7 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
         deadline_result();
         return r;
       }
-      escalate(ErrorClass::Transient);
+      rung = next_rung(rung, ErrorClass::Transient, options.recover);
     }
   }
 
@@ -320,7 +284,7 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
     r.ok = true;
   } else {
     r.error = last_error.empty()
-                  ? annotate_with_context("retry ladder exhausted")
+                  ? annotate_with_context("recovery ladder exhausted")
                   : last_error;
   }
   return r;
@@ -332,7 +296,7 @@ SupervisedJobResult<Outcome> supervise_one(size_t index, uint64_t fp,
 //   { "version": 1, "kind": "opamp", "seed": "<u64 decimal>",
 //     "jobs": [ { "index": i, "fp": "<u64 decimal>", "done": bool,
 //                 "ok": bool, "error": "...", "attempts": n,
-//                 "rung": "initial|retry|relaxed|estimate-only|fail",
+//                 "rung": "initial|numeric-recovery|relaxed|estimate-only|fail",
 //                 "deadline_hit": b, "quarantined": b,
 //                 "estimate_fallback": b,
 //                 "cost": "<hex-float>", "evaluations": n, "skipped": n,
@@ -581,11 +545,8 @@ std::string SupervisionStats::summary() const {
   os << "supervision: attempts=" << attempts << " retries=" << retries
      << " numeric_recovery=" << numeric_recovery_attempts
      << " relaxed=" << relaxed_attempts
-     << " estimate_fallbacks=" << estimate_fallbacks;
-  if (backoff_waits > 0) {
-    os << " backoff_waits=" << backoff_waits << " backoff_s=" << backoff_seconds;
-  }
-  os << " deadline_hits=" << deadline_hits << " cancelled=" << cancelled_jobs
+     << " estimate_fallbacks=" << estimate_fallbacks
+     << " deadline_hits=" << deadline_hits << " cancelled=" << cancelled_jobs
      << " quarantine_skips=" << quarantine_skips
      << " quarantined_new=" << quarantined_new;
   if (checkpoints_written > 0) os << " checkpoints=" << checkpoints_written;

@@ -1,7 +1,7 @@
 #pragma once
 /// \file supervisor.h
 /// Supervised batch runtime (DESIGN.md section 10): deadlines,
-/// cancellation, retry/backoff recovery ladders, spec quarantine and
+/// cancellation, the recovery ladder, spec quarantine and
 /// checkpoint/resume layered over the plain batch entry points.
 ///
 /// The plain batch runtime (batch.h) gives per-job error *isolation*; the
@@ -14,11 +14,11 @@
 ///    the anneal loop — doubles as a cooperative stop point. A job past
 ///    its deadline stops at the next probe and reports its best-so-far
 ///    outcome (deadline_hit = true) instead of hanging the batch.
-///  - Retry ladder: failures are classified by ErrorClass (error.h) and
-///    walked through the RetryPolicy rungs (retry.h): plain retry ->
-///    relaxed solver tolerances (ScopedSolverRelaxation) -> APE
-///    estimate-only fallback -> fail, with deterministic exponential
-///    backoff between attempts. Permanent failures skip straight to the
+///  - Recovery ladder (SupervisorOptions::recover): failures are
+///    classified by ErrorClass (error.h) and walked through the fixed
+///    rungs of retry.h: forced numerical-health recovery -> relaxed
+///    solver tolerances (ScopedSolverRelaxation) -> APE estimate-only
+///    fallback -> fail. Permanent failures skip straight to the
 ///    estimate fallback. Simulator-verification failures (sim_failed
 ///    outcomes) escalate the same way but never discard a synthesized
 ///    design for a bare estimate: they keep the best-so-far outcome.
@@ -102,8 +102,6 @@ struct SupervisionStats {
   int numeric_recovery_attempts = 0;  ///< attempts under NumericHealthMode::Force
   int relaxed_attempts = 0;   ///< attempts run under ScopedSolverRelaxation
   int estimate_fallbacks = 0; ///< jobs resolved by the estimate-only rung
-  int backoff_waits = 0;      ///< backoff sleeps taken
-  double backoff_seconds = 0.0;
   int deadline_hits = 0;      ///< jobs stopped by their deadline
   int cancelled_jobs = 0;     ///< jobs stopped by the CancelToken
   int quarantine_skips = 0;   ///< jobs skipped on a quarantined fingerprint
@@ -141,10 +139,11 @@ struct SupervisorOptions {
   /// cache, lint-first). Clean jobs run exactly as run_opamp_batch would.
   BatchOptions batch;
 
-  /// The recovery ladder (see retry.h). The default policy is a single
-  /// attempt — supervision without retries still provides deadlines,
+  /// Arm the recovery ladder (Initial -> NumericRecovery -> Relaxed ->
+  /// EstimateOnly, see retry.h). Off by default: a single attempt —
+  /// supervision without recovery still provides deadlines,
   /// cancellation, quarantine and checkpointing.
-  RetryPolicy retry;
+  bool recover = false;
 
   /// Per-job wall-clock deadline in seconds (0 = none). The deadline
   /// covers the job's whole ladder, not each attempt.
@@ -180,7 +179,8 @@ struct SupervisorOptions {
   std::function<void(size_t index, bool ok)> on_job_done;
 
   /// Test hook: configure a per-attempt FaultInjector for (job, attempt)
-  /// before the attempt runs on its worker thread. Installed injectors
+  /// before the attempt runs on its worker thread; attempt is the
+  /// rung's ladder position (int(RetryRung)). Installed injectors
   /// are scoped to the attempt; keying on (job, attempt) keeps fault
   /// schedules deterministic at any thread count (the thread_local
   /// injector of the submitting thread never reaches pool workers).
@@ -215,14 +215,14 @@ SupervisedModuleBatchResult run_supervised_module_batch(
 
 /// One supervised opamp job on the *calling* thread — the per-request
 /// lifecycle of the estimation service (src/serve, DESIGN.md section
-/// 11): the full retry ladder, deadline/cancellation and quarantine
+/// 11): the recovery ladder, deadline/cancellation and quarantine
 /// semantics of a batch job, without a batch's fan-out, checkpointing or
 /// its private Executor. checkpoint_path / resume_path must be empty
 /// (throws SpecError); options.batch.threads only bounds multi-start
 /// restart workers inside the attempt. \p stats, when non-null, receives
 /// the ladder's accounting merged in (callers aggregate across
-/// requests). \p index keys the deterministic seed stream and backoff
-/// jitter, exactly like a batch job's position.
+/// requests). \p index keys the deterministic seed stream, exactly like
+/// a batch job's position.
 SupervisedOpAmpResult run_supervised_opamp_job(const est::Process& proc,
                                                const est::OpAmpSpec& spec,
                                                const SupervisorOptions& options,

@@ -1,10 +1,7 @@
 #include "src/runtime/sweep.h"
 
-#include <chrono>
 #include <future>
-#include <thread>
 
-#include "src/lint/lint.h"
 #include "src/lint/prove.h"
 #include "src/runtime/executor.h"
 #include "src/synth/sizing.h"
@@ -14,18 +11,6 @@
 
 namespace ape::runtime {
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw > 0 ? hw : 1;
-}
 
 /// Pass criteria of one evaluation point: the same 0.9x acceptance band
 /// the synthesis diagnosis uses for gain/UGF, plus the classic 45-degree
@@ -120,9 +105,7 @@ SweepResult run_corner_sweep(const est::Process& proc,
       const std::string frame = "sweep_nominal[" + std::to_string(i) + "]";
       ErrorContext ctx(parent.empty() ? frame : parent + " -> " + frame);
       try {
-        if (batch.lint_first) {
-          lint::require_clean(lint::lint_spec(specs[i], proc), "lint-first");
-        }
+        detail::lint_gate(batch.lint_first, proc, specs[i]);
         if (cache != nullptr) {
           r.nominal.design = *cache->opamp(nominal_proc, specs[i]);
         } else {

@@ -10,7 +10,7 @@
 ///  estimate resolved through the shared cache (default: the paper's
 ///  estimate-for-simulation trade applied to yield analysis) or a full
 ///  supervised synthesis batch (SweepOptions::synthesize — deadlines,
-///  retry ladder, quarantine, checkpoint/--resume all inherited from
+///  recovery ladder, quarantine, checkpoint/--resume all inherited from
 ///  supervisor.h).
 ///
 ///  Phase B — the grid: every (job, corner) pair becomes one Executor

@@ -21,12 +21,6 @@
 namespace ape::serve {
 namespace {
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void append_kv(std::string& json, const char* key, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, ",\"%s\":%.17g", key, v);
@@ -484,10 +478,7 @@ std::string Server::run_synthesize(Connection& conn, const Request& req) {
     // and cost floor to the annealer (see SynthesisOptions).
     sup.batch.synth.feasible_box = proof.feasible_box;
     sup.batch.synth.cost_lower_bound = proof.cost_lower_bound;
-    sup.retry.plain_retries = std::max(options_.retries, 0);
-    sup.retry.numeric_recovery_retries = 1;
-    sup.retry.relaxed_retries = 1;
-    sup.retry.estimate_fallback = true;
+    sup.recover = true;
     sup.job_timeout_s = remaining;
     sup.cancel = &drain_cancel_;
     sup.quarantine = &quarantine_;

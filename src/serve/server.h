@@ -5,7 +5,7 @@
 /// simulate jobs over a Unix-domain socket (length-prefixed JSON frames,
 /// protocol.h), multiplexes them onto one shared runtime::Executor, and
 /// runs every heavy request through the supervised job lifecycle
-/// (runtime::run_supervised_opamp_job: deadline, retry ladder,
+/// (runtime::run_supervised_opamp_job: deadline, recovery ladder,
 /// quarantine) with one bounded EstimateCache shared across all clients.
 ///
 /// Robustness is the design driver, not throughput:
@@ -84,7 +84,6 @@ struct ServeOptions {
   size_t cache_capacity = 1024;///< EstimateCache bound per level (0 = inf)
   int synth_iterations = 800;  ///< default anneal iterations
   int synth_iterations_cap = 4000;  ///< cap on client-requested iterations
-  int retries = 1;             ///< plain retries in the request ladder
   int quarantine_threshold = 3;///< consecutive failures before quarantine
   uint64_t seed = 1;           ///< base seed; request i uses stream i
   int mc_samples_cap = 256;    ///< cap on corner_sweep mc_samples
@@ -113,7 +112,7 @@ struct ServerStats {
   long quarantine_hits = 0;   ///< requests skipped on a quarantined spec
   long numeric_recoveries = 0;///< requests rescued by the numerical-health
                               ///< ladder (kernel-level recoveries plus
-                              ///< NumericRecovery retry rungs, DESIGN.md §15)
+                              ///< NumericRecovery rungs, DESIGN.md §15)
   long refinement_solves = 0; ///< kernel solves that ran iterative refinement
   long peak_in_flight = 0;
 

@@ -1,11 +1,9 @@
 #include "src/synth/astrx.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
-#include <thread>
 
 #include "src/runtime/executor.h"
 #include "src/spice/analysis.h"
@@ -29,12 +27,6 @@ using est::ModuleSpec;
 using est::OpAmpDesign;
 using est::OpAmpSpec;
 using est::Process;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Geometric center of a box (the "no initial point" start).
 std::vector<double> box_center(const std::vector<std::pair<double, double>>& b) {
@@ -87,12 +79,8 @@ MultiStartResult multi_start_anneal(
     return run;
   };
 
-  int threads = opts.restart_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads = std::min(threads, m);
+  const int threads =
+      std::min(runtime::resolve_threads(opts.restart_threads), m);
 
   int executed = m;
   if (m == 1 || threads <= 1) {

@@ -101,8 +101,8 @@ struct SynthesisOutcome {
   std::vector<double> best_x;
   /// True when the final simulator verification threw: the design and
   /// cost are still the search's best, but sim is empty and the comment
-  /// reads "doesn't work". The supervision ladder retries these when
-  /// RetryPolicy::retry_sim_failures is set.
+  /// reads "doesn't work". An armed supervision ladder re-runs these on
+  /// its recovery rungs, keeping the outcome as best-so-far.
   bool sim_failed = false;
 };
 

@@ -27,7 +27,7 @@
 ///   without threading a pointer through every layer.
 /// - ScopedSolverRelaxation: RAII installation of relaxed solver
 ///   tolerances on the current thread — the "relaxed" rung of the
-///   supervision retry ladder (DESIGN.md section 10). dc_operating_point
+///   supervision recovery ladder (DESIGN.md section 10). dc_operating_point
 ///   and transient() widen their tolerances and stop the gmin ladder at
 ///   a higher floor while a relaxation is installed.
 ///
@@ -197,6 +197,10 @@ private:
   std::atomic<bool> flag_{false};
 };
 
+/// Seconds on the steady (monotonic) clock: the time base of every
+/// wall-clock measurement and request deadline in the runtime layers.
+double now_seconds();
+
 /// Cooperative run budget: a wall-clock deadline and/or a cap on cost
 /// evaluations, optionally wired to a CancelToken. Unlimited by default.
 /// Loops call charge() per unit of work and stop (returning best-so-far)
@@ -304,7 +308,7 @@ const RunBudget* exhausted_budget(const RunBudget* local);
 // Ambient (thread-local) solver relaxation.
 
 /// Relaxed-solver parameters for the "relaxed" rung of the supervision
-/// retry ladder: a second attempt at a non-convergent job re-runs with
+/// recovery ladder: a later attempt at a non-convergent job re-runs with
 /// tolerances widened by tol_factor and the gmin ladder stopped at
 /// gmin_floor (a slightly damped but solvable system) instead of
 /// descending to the ideal 1e-12 rung.
@@ -320,6 +324,8 @@ struct SolverRelaxation {
 class ScopedSolverRelaxation {
 public:
   explicit ScopedSolverRelaxation(const SolverRelaxation& relax);
+  /// The relaxation is referenced, not copied: a temporary would dangle.
+  explicit ScopedSolverRelaxation(SolverRelaxation&&) = delete;
   ~ScopedSolverRelaxation();
 
   ScopedSolverRelaxation(const ScopedSolverRelaxation&) = delete;

@@ -11,14 +11,14 @@
 /// / solver plan they occurred in without manual re-wrapping.
 ///
 /// Taxonomy: every error also carries an ErrorClass that recovery layers
-/// (the MemoCache negative-caching policy, the batch supervisor's retry
-/// ladder — DESIGN.md section 10) use to decide whether trying again can
+/// (the MemoCache negative-caching policy, the batch supervisor's
+/// recovery ladder — DESIGN.md section 10) use to decide whether trying again can
 /// possibly help:
 ///
 ///  - Transient: a numerical procedure failed *for this attempt* —
 ///    Newton non-convergence, a singular factorization, an expired run
-///    budget. The same request may succeed on retry, with relaxed
-///    tolerances, or once contention passes. NumericError defaults here.
+///    budget. The same request may succeed under forced numerical-health
+///    recovery, with relaxed tolerances, or once contention passes. NumericError defaults here.
 ///  - Permanent: the request itself is wrong — an infeasible spec, a
 ///    malformed netlist, an unknown topology. No amount of retrying
 ///    changes the answer. SpecError / ParseError / LookupError default
@@ -33,7 +33,7 @@ namespace ape {
 
 /// Whether a failure can be expected to clear on retry (see file comment).
 enum class ErrorClass {
-  Transient,  ///< attempt-specific: retry / relax / back off may recover
+  Transient,  ///< attempt-specific: numeric recovery / relaxing may recover
   Permanent,  ///< request-specific: retrying cannot change the outcome
 };
 

@@ -1,17 +1,10 @@
 #include "src/util/retry.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "src/util/rng.h"
-#include "src/util/stream_ids.h"
-
 namespace ape {
 
 const char* to_string(RetryRung rung) {
   switch (rung) {
     case RetryRung::Initial: return "initial";
-    case RetryRung::Retry: return "retry";
     case RetryRung::NumericRecovery: return "numeric-recovery";
     case RetryRung::Relaxed: return "relaxed";
     case RetryRung::EstimateOnly: return "estimate-only";
@@ -20,55 +13,12 @@ const char* to_string(RetryRung rung) {
   return "fail";
 }
 
-int RetryPolicy::max_attempts() const {
-  return 1 + std::max(plain_retries, 0) +
-         std::max(numeric_recovery_retries, 0) + std::max(relaxed_retries, 0) +
-         (estimate_fallback ? 1 : 0);
-}
-
-RetryRung RetryPolicy::rung(int attempt) const {
-  const int plain = std::max(plain_retries, 0);
-  const int numeric = std::max(numeric_recovery_retries, 0);
-  const int relaxed = std::max(relaxed_retries, 0);
-  if (attempt <= 0) return RetryRung::Initial;
-  if (attempt <= plain) return RetryRung::Retry;
-  if (attempt <= plain + numeric) return RetryRung::NumericRecovery;
-  if (attempt <= plain + numeric + relaxed) return RetryRung::Relaxed;
-  if (estimate_fallback && attempt == estimate_attempt()) {
-    return RetryRung::EstimateOnly;
-  }
-  return RetryRung::Fail;
-}
-
-RetryRung RetryPolicy::next_rung(ErrorClass klass, int attempt) const {
-  if (klass == ErrorClass::Permanent) {
-    // Retrying or relaxing cannot change a permanent failure: jump to
-    // the estimate fallback (when enabled and not already tried).
-    if (estimate_fallback && attempt < estimate_attempt()) {
-      return RetryRung::EstimateOnly;
-    }
-    return RetryRung::Fail;
-  }
-  return rung(attempt + 1);
-}
-
-int RetryPolicy::estimate_attempt() const {
-  return estimate_fallback ? max_attempts() - 1 : -1;
-}
-
-double RetryPolicy::backoff_s(uint64_t job, int attempt) const {
-  if (attempt <= 0 || backoff_base_s <= 0.0) return 0.0;
-  const double raw =
-      backoff_base_s * std::pow(backoff_factor, double(attempt - 1));
-  // Deterministic jitter: a fresh stream per (job, attempt) so every
-  // schedule replays exactly and concurrent jobs never synchronize
-  // their retries into a thundering herd. The id layout lives in
-  // stream_ids.h with every other derive_stream domain.
-  const uint64_t stream = Rng::derive_stream(
-      jitter_seed, streams::kRetryJitterStream(job, uint64_t(attempt)));
-  const double u = Rng(stream).uniform();  // [0, 1)
-  const double jitter = 1.0 + jitter_frac * (2.0 * u - 1.0);
-  return std::min(raw * std::max(jitter, 0.0), backoff_max_s);
+RetryRung next_rung(RetryRung rung, ErrorClass klass, bool recover) {
+  if (!recover || rung >= RetryRung::EstimateOnly) return RetryRung::Fail;
+  // Re-running or relaxing cannot change a permanent failure: jump to
+  // the estimate fallback.
+  if (klass == ErrorClass::Permanent) return RetryRung::EstimateOnly;
+  return static_cast<RetryRung>(static_cast<int>(rung) + 1);
 }
 
 }  // namespace ape

@@ -9,11 +9,9 @@
 /// two streams collide exactly when both their seeds and their ids
 /// match. Domains therefore separate along two axes:
 ///
-///  1. Different *seeds*: the batch seed (BatchOptions::seed), the
+///  1. Different *seeds*: the batch seed (BatchOptions::seed) and the
 ///     anneal seed (AnnealOptions::seed, itself usually a batch-derived
-///     stream), and the retry jitter seed (RetryPolicy::jitter_seed,
-///     default 0x5eed) are independent root keys. Ids may overlap
-///     across them.
+///     stream) are independent root keys. Ids may overlap across them.
 ///  2. Different *id ranges* under the same seed. The existing domains
 ///     keyed on the batch seed use small integers, so every new domain
 ///     must carve out a disjoint range — the mismatch domain below tags
@@ -29,9 +27,6 @@
 ///    with derive_stream(anneal_seed, kAnnealRestartStream(r)) — the
 ///    plain restart index on the *job's own* seed (restart 0 uses the
 ///    seed unchanged), ids [1, restarts).
-///  - Retry backoff jitter (util/retry.cpp): attempt a of job j jitters
-///    with derive_stream(jitter_seed, kRetryJitterStream(j, a)) on the
-///    policy's own jitter seed.
 ///  - Monte-Carlo mismatch (stat/mismatch.cpp): sample s of job j at
 ///    corner c draws with derive_stream(batch_seed,
 ///    kMismatchStream(j, c, s)). Tagged ids, disjoint from the batch-job
@@ -47,14 +42,6 @@ constexpr uint64_t kBatchJobStream(uint64_t job) { return job; }
 /// Multi-start restart r → stream id r on the job's anneal seed
 /// (frozen; restart 0 never derives).
 constexpr uint64_t kAnnealRestartStream(uint64_t restart) { return restart; }
-
-/// Retry backoff jitter: (job, attempt) → job * stride + attempt on the
-/// policy's jitter seed. The stride bounds attempts per job at 1000003
-/// (a prime far above any real ladder) before two jobs could alias.
-constexpr uint64_t kRetryJitterStride = 1000003ULL;
-constexpr uint64_t kRetryJitterStream(uint64_t job, uint64_t attempt) {
-  return job * kRetryJitterStride + attempt;
-}
 
 /// Monte-Carlo mismatch streams: (job, corner, sample) packed into a
 /// tagged id. The tag occupies the top byte, so a mismatch id can never

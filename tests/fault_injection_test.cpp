@@ -540,9 +540,9 @@ TEST(FaultInjection, SynthesisUnderExpiringBudgetReturnsBestSoFar) {
 
 // ---------------------------------------------------------------------------
 // The supervised-recovery matrix (DESIGN.md section 10): each spice-layer
-// fault site crossed with the retry-ladder rungs. A fault that clears
-// after the first attempt must be recovered by the plain Retry rung, a
-// longer-lived one by the Relaxed rung, and a persistent one must leave
+// fault site crossed with the recovery-ladder rungs. A fault that clears
+// after the first attempt must be recovered by the NumericRecovery rung,
+// a longer-lived one by the Relaxed rung, and a persistent one must leave
 // the job with its best-so-far synthesized outcome (never swapped for a
 // bare estimate, never a crash or a hang).
 
@@ -585,9 +585,7 @@ SupervisedOpAmpResult run_matrix_job(const FaultSite& site,
   sup.batch.synth.use_ape_seed = true;
   sup.batch.synth.anneal.iterations = 60;
   sup.batch.threads = 1;
-  sup.retry.plain_retries = 1;
-  sup.retry.relaxed_retries = 1;
-  sup.retry.estimate_fallback = true;
+  sup.recover = true;
   sup.fault_setup = [&site, faulted_attempts](size_t, int attempt,
                                               spice::FaultInjector& fi) {
     if (attempt < faulted_attempts) site.arm(fi);
@@ -597,13 +595,14 @@ SupervisedOpAmpResult run_matrix_job(const FaultSite& site,
   return r.jobs.at(0);
 }
 
-TEST(FaultInjectionSupervised, FaultClearingAfterOneAttemptRecoversOnRetry) {
+TEST(FaultInjectionSupervised,
+     FaultClearingAfterOneAttemptRecoversOnNumericRecovery) {
   for (const FaultSite& site : kEscalatingSites) {
     SCOPED_TRACE(site.name);
     const auto job = run_matrix_job(site, /*faulted_attempts=*/1);
     ASSERT_TRUE(job.ok) << job.error;
     EXPECT_EQ(job.attempts, 2);
-    EXPECT_EQ(job.final_rung, RetryRung::Retry);
+    EXPECT_EQ(job.final_rung, RetryRung::NumericRecovery);
     EXPECT_FALSE(job.outcome.sim_failed);
     EXPECT_FALSE(job.estimate_fallback);
   }
@@ -628,7 +627,7 @@ TEST(FaultInjectionSupervised, PersistentFaultKeepsBestSoFarNotEstimate) {
     // runs dry and keeps the synthesized best-so-far outcome instead of
     // discarding it for the bare estimate.
     ASSERT_TRUE(job.ok) << job.error;
-    EXPECT_EQ(job.attempts, 3);  // initial + retry + relaxed, then stop
+    EXPECT_EQ(job.attempts, 3);  // initial + numeric + relaxed, then stop
     EXPECT_TRUE(job.outcome.sim_failed);
     EXPECT_FALSE(job.estimate_fallback);
     EXPECT_FALSE(job.outcome.best_x.empty());
@@ -637,7 +636,7 @@ TEST(FaultInjectionSupervised, PersistentFaultKeepsBestSoFarNotEstimate) {
 }
 
 TEST(FaultInjectionSupervised, InnerRecoveryAbsorbsFaultsWithoutEscalation) {
-  // Faults the solver's own ladders absorb must never reach the retry
+  // Faults the solver's own ladders absorb must never reach the recovery
   // ladder: transient Newton vetoes sub-step, cost-eval SpecErrors skip
   // the candidate, and the attempt count stays at one.
   const FaultSite absorbed[] = {
@@ -690,15 +689,13 @@ TEST(FaultInjectionSupervised, PermanentSynthFailureFallsBackToEstimate) {
   sup.batch.seed = 3;
   sup.batch.synth.anneal.iterations = 40;
   sup.batch.threads = 1;
-  sup.retry.plain_retries = 2;
-  sup.retry.relaxed_retries = 1;
-  sup.retry.estimate_fallback = true;
+  sup.recover = true;
   const auto r =
       run_supervised_module_batch(est::Process::default_1u2(), specs, sup);
   ASSERT_TRUE(r.jobs[0].ok) << r.jobs[0].error;
   EXPECT_TRUE(r.jobs[0].estimate_fallback);
   EXPECT_EQ(r.jobs[0].final_rung, RetryRung::EstimateOnly);
-  // Permanent: the plain/relaxed rungs were skipped, not burned.
+  // Permanent: the numeric/relaxed rungs were skipped, not burned.
   EXPECT_EQ(r.jobs[0].attempts, 2);
   EXPECT_EQ(r.supervision.estimate_fallbacks, 1);
   EXPECT_FALSE(r.jobs[0].outcome.design.opamps.empty());

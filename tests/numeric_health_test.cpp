@@ -2,8 +2,9 @@
 /// The numerical-health layer (DESIGN.md section 15): equilibration,
 /// Hager condition estimation, iterative refinement and the recovery
 /// ladder, from the substrate primitives up through DC solves of the two
-/// committed badly scaled netlists and a supervised batch that lands on
-/// the NumericRecovery rung.
+/// committed badly scaled netlists, a supervised batch that lands on the
+/// NumericRecovery rung, and the real (non-injected) simulator failures
+/// that justify the NumericRecovery and Relaxed rungs.
 
 #include "src/util/numeric_health.h"
 
@@ -18,6 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "src/estimator/opamp.h"
+#include "src/estimator/process.h"
+#include "src/estimator/verify.h"
 #include "src/lint/lint.h"
 #include "src/runtime/supervisor.h"
 #include "src/spice/analysis.h"
@@ -417,20 +421,14 @@ TEST(KernelHealth, LosslessTankAtResonanceStillTripsAfterEquilibration) {
 TEST(RecoveryLadder, SupervisedNetlistBatchRecordsRungAndResidual) {
   const std::vector<std::string> netlists = {read_file(kSpreadNetlist),
                                              read_file(kGminRescueNetlist)};
-  RetryPolicy policy;
-  policy.numeric_recovery_retries = 1;
-
   std::string batch_json = "[";
   for (size_t job = 0; job < netlists.size(); ++job) {
     bool ok = false;
-    int attempt = 0;
     RetryRung rung = RetryRung::Initial;
     ConvergenceReport report;
     while (!ok) {
-      rung = policy.rung(attempt);
-      ASSERT_NE(rung, RetryRung::Fail) << "job " << job << " ran out of ladder";
       spice::FaultInjector fi;
-      if (attempt == 0) fi.fail_lu_from(0);  // sabotage the initial attempt
+      if (rung == RetryRung::Initial) fi.fail_lu_from(0);  // sabotage it
       spice::ScopedFaultInjection scoped(fi);
       std::optional<ScopedNumericHealthMode> force;
       if (rung == RetryRung::NumericRecovery) {
@@ -443,10 +441,10 @@ TEST(RecoveryLadder, SupervisedNetlistBatchRecordsRungAndResidual) {
         (void)spice::dc_operating_point(ckt, opts);
         ok = true;
       } catch (const NumericError& e) {
-        ASSERT_EQ(policy.next_rung(e.klass(), attempt),
-                  RetryRung::NumericRecovery)
-            << e.what();
-        ++attempt;
+        // Only the sabotaged Initial attempt may fail.
+        ASSERT_EQ(rung, RetryRung::Initial) << "job " << job << ": " << e.what();
+        rung = next_rung(rung, e.klass(), /*recover=*/true);
+        ASSERT_EQ(rung, RetryRung::NumericRecovery) << e.what();
       }
     }
     // Exactly the supervised shape: sabotage on Initial, rescue on the
@@ -490,9 +488,7 @@ TEST(RecoveryLadder, SupervisedOpAmpBatchUsesNumericRecoveryRung) {
   sup.batch.threads = 1;
   sup.batch.synth.use_ape_seed = true;
   sup.batch.synth.anneal.iterations = 120;
-  sup.retry.plain_retries = 0;
-  sup.retry.numeric_recovery_retries = 1;
-  sup.retry.relaxed_retries = 1;
+  sup.recover = true;
   sup.fault_setup = [](size_t, int attempt, spice::FaultInjector& fi) {
     if (attempt == 0) fi.fail_lu_from(0);  // initial attempt dies
   };
@@ -503,6 +499,83 @@ TEST(RecoveryLadder, SupervisedOpAmpBatchUsesNumericRecoveryRung) {
       << to_string(r.jobs[0].final_rung);
   EXPECT_GE(r.supervision.numeric_recovery_attempts, 1);
   EXPECT_EQ(r.jobs[0].attempts, 2);
+}
+
+// ---------------------------------------------------------------------------
+// The rung census as a regression test. Each kept rung must rescue a real
+// failure, not only an injected one. These are two designs from the census
+// of jittered Table-1 specs (seeds 1-3 x 400 specs per process, gain, UGF
+// and Ibias jittered +/-20 %, APE estimate -> simulate_opamp). An
+// identical re-run fails with the same message, so a plain re-run rung
+// would rescue nothing. Only the named rung rescues each one. Specs are
+// hex floats so the designs are bit-exact.
+
+/// What simulate_opamp says about \p d: "" on success, else the error.
+std::string simulate_outcome(const est::OpAmpDesign& d, const est::Process& p) {
+  try {
+    (void)est::simulate_opamp(d, p);
+    return "";
+  } catch (const Error& e) {
+    return e.what();
+  }
+}
+
+TEST(RecoveryLadder, ForcedHealthAloneRescuesARealLevel1Failure) {
+  // LEVEL 1, Table-1 row 1 jittered: gain ~72.5123, UGF ~3.33606 MHz,
+  // Ibias ~1.87782 uA.
+  const est::Process proc = est::Process::default_1u2();
+  est::OpAmpSpec spec;
+  spec.gain = 0x1.220ca245bb685p+6;
+  spec.ugf_hz = 0x1.973bd9f54b988p+21;
+  spec.ibias = 0x1.f8132503a324cp-20;
+  spec.cload = 10e-12;
+  spec.source = est::CurrentSourceKind::Wilson;
+  spec.buffer = true;
+  spec.zout = 1e3;
+  spec.area_budget = 3000 * 4.0 * 1e-12;
+  const est::OpAmpDesign d = est::OpAmpEstimator(proc).estimate(spec);
+
+  const std::string first = simulate_outcome(d, proc);
+  ASSERT_FALSE(first.empty()) << "the census failure no longer reproduces";
+  EXPECT_EQ(simulate_outcome(d, proc), first) << "a plain re-run differed";
+  {
+    ScopedNumericHealthMode force(NumericHealthMode::Force);
+    EXPECT_EQ(simulate_outcome(d, proc), "");
+  }
+  {
+    const SolverRelaxation relaxation{};
+    ScopedSolverRelaxation relax(relaxation);
+    EXPECT_NE(simulate_outcome(d, proc), "") << "relaxation rescues it too";
+  }
+}
+
+TEST(RecoveryLadder, RelaxationAloneRescuesARealBsimFailure) {
+  // BSIM, Table-1 row 8 jittered: gain ~92.9625, UGF ~1.85831 MHz,
+  // Ibias ~0.849797 uA.
+  const est::Process proc = est::Process::default_1u2_bsim();
+  est::OpAmpSpec spec;
+  spec.gain = 0x1.73d99d31da84bp+6;
+  spec.ugf_hz = 0x1.c5b0a620f9c49p+20;
+  spec.ibias = 0x1.c83b3743f34acp-21;
+  spec.cload = 10e-12;
+  spec.source = est::CurrentSourceKind::Mirror;
+  spec.buffer = true;
+  spec.zout = 10e3;
+  spec.area_budget = 1000 * 4.0 * 1e-12;
+  const est::OpAmpDesign d = est::OpAmpEstimator(proc).estimate(spec);
+
+  const std::string first = simulate_outcome(d, proc);
+  ASSERT_FALSE(first.empty()) << "the census failure no longer reproduces";
+  EXPECT_EQ(simulate_outcome(d, proc), first) << "a plain re-run differed";
+  {
+    ScopedNumericHealthMode force(NumericHealthMode::Force);
+    EXPECT_NE(simulate_outcome(d, proc), "") << "forced health rescues it too";
+  }
+  {
+    const SolverRelaxation relaxation{};
+    ScopedSolverRelaxation relax(relaxation);
+    EXPECT_EQ(simulate_outcome(d, proc), "");
+  }
 }
 
 }  // namespace

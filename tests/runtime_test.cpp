@@ -478,8 +478,9 @@ TEST(RuntimeBatch, ModuleBatchDeterministicAndIsolated) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervised batches keep the determinism contract: retries and resume
-// change nothing about which bits come out at 1 thread vs 8 threads.
+// Supervised batches keep the determinism contract: recovery rungs and
+// resume change nothing about which bits come out at 1 thread vs 8
+// threads.
 
 TEST(RuntimeBatch, SupervisedRetriesAndResumeDeterministicAcrossThreads) {
   const auto specs = batch_specs(12);
@@ -487,12 +488,11 @@ TEST(RuntimeBatch, SupervisedRetriesAndResumeDeterministicAcrossThreads) {
     SupervisorOptions sup;
     sup.batch = fast_synth_options();
     sup.batch.threads = threads;
-    sup.retry.plain_retries = 1;
-    sup.retry.relaxed_retries = 1;
-    sup.retry.estimate_fallback = true;
+    sup.recover = true;
     // Every third job's first attempt dies in verification (singular LU)
-    // and recovers on the plain retry. Faults are keyed on (job, attempt)
-    // only, so the schedule is identical at any thread count.
+    // and recovers on the NumericRecovery rung. Faults are keyed on
+    // (job, attempt) only, so the schedule is identical at any thread
+    // count.
     sup.fault_setup = [](size_t index, int attempt,
                          spice::FaultInjector& fi) {
       if (index % 3 == 0 && attempt == 0) fi.fail_lu_from(0);
@@ -517,7 +517,7 @@ TEST(RuntimeBatch, SupervisedRetriesAndResumeDeterministicAcrossThreads) {
     }
   }
 
-  // Interrupt an 8-thread retrying run mid-way, then resume at 1 thread:
+  // Interrupt an 8-thread recovering run mid-way, then resume at 1 thread:
   // the stitched-together results still match the uninterrupted ones.
   const std::string ckpt = testing::TempDir() + "runtime_resume.ckpt";
   CancelToken cancel;

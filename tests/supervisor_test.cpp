@@ -1,17 +1,18 @@
 /// \file supervisor_test.cpp
-/// The supervised batch runtime (DESIGN.md section 10): retry ladder
-/// mechanics, deterministic backoff, quarantine circuit breaker, per-job
-/// deadlines and cancellation, checkpoint/resume bit-exactness, and the
-/// acceptance scenario of the supervision layer — a batch containing a
-/// hanging spec, a transiently failing spec and a permanently broken
-/// spec finishes with deadline-kill / retry-success / quarantine
+/// The supervised batch runtime (DESIGN.md section 10): recovery ladder
+/// mechanics, quarantine circuit breaker, per-job deadlines and
+/// cancellation, checkpoint/resume bit-exactness, and the acceptance
+/// scenario of the supervision layer — a batch containing a hanging
+/// spec, a transiently failing spec and a permanently broken spec
+/// finishes with deadline-kill / recovery / quarantine
 /// respectively while clean jobs stay bit-identical to the unsupervised
 /// batch.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,64 +84,40 @@ std::string temp_path(const char* name) {
 }
 
 // ---------------------------------------------------------------------------
-// RetryPolicy: rung walking and deterministic backoff.
+// The fixed recovery ladder: rung walking.
 
 TEST(SupervisorRetryPolicy, RungLadderInOrder) {
-  RetryPolicy p;
-  p.plain_retries = 2;
-  p.relaxed_retries = 1;
-  p.estimate_fallback = true;
-  EXPECT_EQ(p.max_attempts(), 5);
-  EXPECT_EQ(p.rung(0), RetryRung::Initial);
-  EXPECT_EQ(p.rung(1), RetryRung::Retry);
-  EXPECT_EQ(p.rung(2), RetryRung::Retry);
-  EXPECT_EQ(p.rung(3), RetryRung::Relaxed);
-  EXPECT_EQ(p.rung(4), RetryRung::EstimateOnly);
-  EXPECT_EQ(p.rung(5), RetryRung::Fail);
-  EXPECT_EQ(p.estimate_attempt(), 4);
+  // Transient failures climb the armed ladder one rung at a time.
+  const ErrorClass t = ErrorClass::Transient;
+  EXPECT_EQ(next_rung(RetryRung::Initial, t, true), RetryRung::NumericRecovery);
+  EXPECT_EQ(next_rung(RetryRung::NumericRecovery, t, true), RetryRung::Relaxed);
+  EXPECT_EQ(next_rung(RetryRung::Relaxed, t, true), RetryRung::EstimateOnly);
+  EXPECT_EQ(next_rung(RetryRung::EstimateOnly, t, true), RetryRung::Fail);
+  // Ladder positions are the attempt ordinals fault_setup keys on.
+  EXPECT_EQ(int(RetryRung::Initial), 0);
+  EXPECT_EQ(int(RetryRung::NumericRecovery), 1);
+  EXPECT_EQ(int(RetryRung::Relaxed), 2);
+  EXPECT_EQ(int(RetryRung::EstimateOnly), 3);
+  EXPECT_STREQ(to_string(RetryRung::NumericRecovery), "numeric-recovery");
+  EXPECT_STREQ(to_string(RetryRung::EstimateOnly), "estimate-only");
 }
 
 TEST(SupervisorRetryPolicy, PermanentFailuresSkipToEstimate) {
-  RetryPolicy p;
-  p.plain_retries = 2;
-  p.relaxed_retries = 1;
-  p.estimate_fallback = true;
-  // Transient failures escalate one rung at a time.
-  EXPECT_EQ(p.next_rung(ErrorClass::Transient, 0), RetryRung::Retry);
-  EXPECT_EQ(p.next_rung(ErrorClass::Transient, 2), RetryRung::Relaxed);
-  EXPECT_EQ(p.next_rung(ErrorClass::Transient, 3), RetryRung::EstimateOnly);
-  EXPECT_EQ(p.next_rung(ErrorClass::Transient, 4), RetryRung::Fail);
-  // Permanent failures jump the retry rungs: re-running cannot help.
-  EXPECT_EQ(p.next_rung(ErrorClass::Permanent, 0), RetryRung::EstimateOnly);
-  // ... and the estimate failing permanently ends the ladder.
-  RetryPolicy bare;
-  EXPECT_EQ(bare.max_attempts(), 1);
-  EXPECT_EQ(bare.next_rung(ErrorClass::Transient, 0), RetryRung::Fail);
-  EXPECT_EQ(bare.next_rung(ErrorClass::Permanent, 0), RetryRung::Fail);
-}
-
-TEST(SupervisorRetryPolicy, BackoffIsDeterministicBoundedAndGrows) {
-  RetryPolicy p;
-  p.backoff_base_s = 0.1;
-  p.backoff_factor = 2.0;
-  p.backoff_max_s = 1.0;
-  p.jitter_frac = 0.25;
-  EXPECT_EQ(p.backoff_s(0, 0), 0.0);  // no wait before the first attempt
-  for (uint64_t job = 0; job < 4; ++job) {
-    for (int attempt = 1; attempt < 6; ++attempt) {
-      const double w1 = p.backoff_s(job, attempt);
-      const double w2 = p.backoff_s(job, attempt);
-      EXPECT_EQ(w1, w2) << "backoff must be a pure function";
-      const double nominal =
-          std::min(0.1 * std::pow(2.0, attempt - 1), p.backoff_max_s);
-      EXPECT_GE(w1, nominal * 0.75 - 1e-12);
-      EXPECT_LE(w1, std::min(nominal * 1.25, p.backoff_max_s) + 1e-12);
-    }
+  // Permanent failures jump the recovery rungs: re-running cannot help.
+  for (RetryRung at : {RetryRung::Initial, RetryRung::NumericRecovery,
+                       RetryRung::Relaxed}) {
+    EXPECT_EQ(next_rung(at, ErrorClass::Permanent, true),
+              RetryRung::EstimateOnly)
+        << to_string(at);
   }
-  // Jitter decorrelates jobs: not every job waits the same.
-  EXPECT_NE(p.backoff_s(1, 1), p.backoff_s(2, 1));
-  RetryPolicy off;
-  EXPECT_EQ(off.backoff_s(3, 2), 0.0);  // base 0 disables waiting
+  // ... and the estimate failing permanently ends the ladder.
+  EXPECT_EQ(next_rung(RetryRung::EstimateOnly, ErrorClass::Permanent, true),
+            RetryRung::Fail);
+  // A ladder that is off ends every failure after the single attempt.
+  EXPECT_EQ(next_rung(RetryRung::Initial, ErrorClass::Transient, false),
+            RetryRung::Fail);
+  EXPECT_EQ(next_rung(RetryRung::Initial, ErrorClass::Permanent, false),
+            RetryRung::Fail);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,9 +212,7 @@ TEST(SupervisorBatch, CleanJobsMatchUnsupervisedBatchBitExactly) {
   SupervisorOptions sup = fast_supervised_options();
   sup.batch.threads = 2;
   sup.batch.cache = &sup_cache;
-  sup.retry.plain_retries = 2;  // armed, but clean jobs never escalate
-  sup.retry.relaxed_retries = 1;
-  sup.retry.estimate_fallback = true;
+  sup.recover = true;  // armed, but clean jobs never escalate
   sup.job_timeout_s = 120.0;
   const auto r = run_supervised_opamp_batch(proc(), specs, sup);
 
@@ -257,8 +232,8 @@ TEST(SupervisorBatch, CleanJobsMatchUnsupervisedBatchBitExactly) {
 
 // ---------------------------------------------------------------------------
 // The acceptance scenario: hanging + transient + permanent specs in one
-// batch — deadline-kill, retry-success and quarantine respectively, with
-// the clean jobs untouched.
+// batch — deadline-kill, recovery and quarantine respectively, with the
+// clean jobs untouched.
 
 TEST(SupervisorBatch, HangingTransientAndPermanentSpecsEachRecover) {
   // Job 0: clean. Job 1: "hangs" (every transient step stalls 10 ms; the
@@ -274,16 +249,14 @@ TEST(SupervisorBatch, HangingTransientAndPermanentSpecsEachRecover) {
   sup.batch.threads = 1;  // deterministic quarantine order
   EstimateCache cache;
   sup.batch.cache = &cache;
-  sup.retry.plain_retries = 1;
-  sup.retry.relaxed_retries = 1;
-  sup.retry.estimate_fallback = true;
+  sup.recover = true;
   sup.job_timeout_s = 1.0;
   QuarantineRegistry quarantine;
   sup.quarantine = &quarantine;
   sup.quarantine_threshold = 2;
   sup.fault_setup = [](size_t index, int attempt, spice::FaultInjector& fi) {
     if (index == 1) fi.stall_transient(0.010);           // the hanging spec
-    if (index == 2 && attempt == 0) fi.fail_lu_from(0);  // clears on retry
+    if (index == 2 && attempt == 0) fi.fail_lu_from(0);  // clears next rung
   };
   const auto r = run_supervised_opamp_batch(proc(), specs, sup);
   ASSERT_EQ(r.jobs.size(), 6u);
@@ -295,10 +268,10 @@ TEST(SupervisorBatch, HangingTransientAndPermanentSpecsEachRecover) {
   EXPECT_GE(r.supervision.deadline_hits, 1);
 
   // Job 2: first attempt's verification dies on the injected singular LU
-  // (sim_failed), the plain retry succeeds cleanly.
+  // (sim_failed), the NumericRecovery rung succeeds cleanly.
   EXPECT_TRUE(r.jobs[2].ok) << r.jobs[2].error;
   EXPECT_EQ(r.jobs[2].attempts, 2);
-  EXPECT_EQ(r.jobs[2].final_rung, RetryRung::Retry);
+  EXPECT_EQ(r.jobs[2].final_rung, RetryRung::NumericRecovery);
   EXPECT_FALSE(r.jobs[2].outcome.sim_failed);
 
   // Job 3: permanent estimator failure -> the ladder jumps to the
@@ -338,7 +311,7 @@ TEST(SupervisorBatch, HangingTransientAndPermanentSpecsEachRecover) {
 // src/lint/prove.h) is a fact about the input, not a flaky pipeline:
 // with lint_first on, the ladder must reject it pre-solve as Permanent —
 // one LintError attempt, straight to the estimate-only fallback, no
-// retry rungs burned, quarantine untouched. Before the prover this exact
+// recovery rungs burned, quarantine untouched. Before the prover this exact
 // spec ran a full synthesis (thousands of cost evaluations) per attempt.
 TEST(SupervisorBatch, ProvenInfeasibleSpecSkipsLadderPreSolve) {
   OpAmpSpec impossible = clean_spec(0);
@@ -351,9 +324,7 @@ TEST(SupervisorBatch, ProvenInfeasibleSpecSkipsLadderPreSolve) {
   SupervisorOptions sup = fast_supervised_options();
   sup.batch.threads = 1;
   sup.batch.lint_first = true;
-  sup.retry.plain_retries = 2;  // would be burned if the verdict retried
-  sup.retry.relaxed_retries = 1;
-  sup.retry.estimate_fallback = true;
+  sup.recover = true;  // rungs that would be burned if the verdict retried
   QuarantineRegistry quarantine;
   sup.quarantine = &quarantine;
   sup.quarantine_threshold = 1;  // hair trigger: any counted failure trips
@@ -363,14 +334,14 @@ TEST(SupervisorBatch, ProvenInfeasibleSpecSkipsLadderPreSolve) {
   ASSERT_EQ(r.jobs.size(), 1u);
 
   // Attempt 1 throws the APE-F001 LintError before any solve; attempt 2
-  // is the estimate-only fallback. No plain/relaxed retry ever ran.
+  // is the estimate-only fallback. No numeric/relaxed rung ever ran.
   EXPECT_TRUE(r.jobs[0].ok) << r.jobs[0].error;
   EXPECT_EQ(r.jobs[0].attempts, 2);
   EXPECT_EQ(r.jobs[0].final_rung, RetryRung::EstimateOnly);
   EXPECT_EQ(r.jobs[0].outcome.comment, "estimate-only fallback");
   EXPECT_EQ(r.jobs[0].outcome.evaluations, 0) << "a solve ran after the proof";
   EXPECT_EQ(r.supervision.estimate_fallbacks, 1);
-  EXPECT_EQ(r.supervision.retries, 1) << "only the rung hop, no retry ladder";
+  EXPECT_EQ(r.supervision.retries, 1) << "only the rung hop, no ladder climb";
 
   // The verdict is deterministic input badness: even with the
   // hair-trigger threshold the quarantine registry stays empty.
@@ -393,9 +364,7 @@ TEST(SupervisorBatch, PersistentSimFailureKeepsBestSoFarOutcome) {
   std::vector<OpAmpSpec> specs{clean_spec(0)};
   SupervisorOptions sup = fast_supervised_options();
   sup.batch.threads = 1;
-  sup.retry.plain_retries = 1;
-  sup.retry.relaxed_retries = 0;
-  sup.retry.estimate_fallback = true;
+  sup.recover = true;
   sup.fault_setup = [](size_t, int, spice::FaultInjector& fi) {
     fi.fail_lu_from(0);  // every verification LU solve dies, every attempt
   };
@@ -403,7 +372,8 @@ TEST(SupervisorBatch, PersistentSimFailureKeepsBestSoFarOutcome) {
   ASSERT_TRUE(r.jobs[0].ok) << r.jobs[0].error;
   EXPECT_TRUE(r.jobs[0].outcome.sim_failed);
   EXPECT_FALSE(r.jobs[0].estimate_fallback);
-  EXPECT_EQ(r.jobs[0].attempts, 2);  // initial + plain retry, then stop
+  // initial + numeric-recovery + relaxed, then stop before the estimate.
+  EXPECT_EQ(r.jobs[0].attempts, 3);
   EXPECT_FALSE(r.jobs[0].outcome.best_x.empty());
   EXPECT_EQ(r.supervision.estimate_fallbacks, 0);
 }
@@ -553,6 +523,46 @@ TEST(SupervisorCheckpoint, MismatchedResumeIsRejected) {
   std::remove(ckpt.c_str());
 }
 
+// The plain-retry rung is gone from the ladder: a checkpoint recording a
+// job that finished on it no longer names a rung this build can restore.
+TEST(SupervisorCheckpoint, RemovedRetryRungIsRejected) {
+  std::vector<OpAmpSpec> specs{clean_spec(0)};
+  const std::string ckpt = temp_path("sup_retry_rung.ckpt");
+  SupervisorOptions sup = fast_supervised_options();
+  sup.batch.threads = 1;
+  sup.checkpoint_path = ckpt;
+  ASSERT_EQ(run_supervised_opamp_batch(proc(), specs, sup).stats.failed, 0);
+
+  std::string text;
+  {
+    std::ifstream in(ckpt);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
+  }
+  const std::string rung = "\"rung\": \"initial\"";
+  const size_t at = text.find(rung);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, rung.size(), "\"rung\": \"retry\"");
+  {
+    std::ofstream out(ckpt, std::ios::trunc);
+    out << text;
+  }
+
+  SupervisorOptions resume = fast_supervised_options();
+  resume.batch.threads = 1;
+  resume.resume_path = ckpt;
+  try {
+    (void)run_supervised_opamp_batch(proc(), specs, resume);
+    ADD_FAILURE() << "a checkpoint naming the removed rung was accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown retry rung 'retry'"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(ckpt.c_str());
+}
+
 TEST(SupervisorCheckpoint, ModuleBatchesRejectCheckpointOptions) {
   std::vector<est::ModuleSpec> specs(1);
   specs[0].kind = est::ModuleKind::AudioAmp;
@@ -580,13 +590,12 @@ TEST(SupervisorBatch, ModuleLadderRecoversAndIsolates) {
   sup.batch.synth.use_ape_seed = true;
   sup.batch.synth.anneal.iterations = 60;
   sup.batch.threads = 1;
-  sup.retry.plain_retries = 1;
   const auto r = run_supervised_module_batch(proc(), specs, sup);
   ASSERT_EQ(r.jobs.size(), 2u);
   EXPECT_TRUE(r.jobs[0].ok) << r.jobs[0].error;
   EXPECT_EQ(r.jobs[0].attempts, 1);
   EXPECT_FALSE(r.jobs[1].ok);
-  // Permanent failure, no estimate fallback configured: one attempt only.
+  // Permanent failure, recovery ladder off: one attempt only.
   EXPECT_EQ(r.jobs[1].attempts, 1);
   EXPECT_EQ(r.stats.failed, 1);
 }
